@@ -1,5 +1,7 @@
 #include "linalg/laplacian.hpp"
 
+#include <algorithm>
+
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
 
@@ -42,49 +44,58 @@ CSRMatrix adjacency_matrix(const graph::Graph& g) {
                                   /*drop_zeros=*/false);
 }
 
+LaplacianOperator::LaplacianOperator(const graph::Graph& g)
+    : offsets_(static_cast<std::size_t>(g.num_vertices()) + 1, 0) {
+  // Stable counting sort of the arcs by endpoint: degree count, prefix sum,
+  // then a fill in edge-id order, which is the order apply() adds them in.
+  const auto edges = g.edges();
+  for (const graph::Edge& e : edges) {
+    ++offsets_[std::size_t{e.u} + 1];
+    ++offsets_[std::size_t{e.v} + 1];
+  }
+  for (std::size_t r = 1; r < offsets_.size(); ++r) offsets_[r] += offsets_[r - 1];
+  other_.resize(offsets_.back());
+  weight_.resize(offsets_.back());
+  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (const graph::Edge& e : edges) {
+    const std::size_t at_u = cursor[e.u]++;
+    other_[at_u] = e.v;
+    weight_[at_u] = e.w;
+    const std::size_t at_v = cursor[e.v]++;
+    other_[at_v] = e.u;
+    weight_[at_v] = e.w;
+  }
+}
+
 void LaplacianOperator::apply(std::span<const double> x, std::span<double> y) const {
   SPAR_CHECK(x.size() == dimension() && y.size() == dimension(),
              "LaplacianOperator::apply: size mismatch");
-  fill(y, 0.0);
-  // Edge-parallel apply would race on y; vertex-parallel needs CSR. For the
-  // matrix-free path the edge list is walked serially per thread over disjoint
-  // chunks with atomic adds -- measured faster than building CSR for one-shot
-  // applies, and exact either way.
-  const auto edges = g_->edges();
-  const bool parallel = edges.size() > (1u << 15) && par::max_threads() > 1;
-  if (!parallel) {
-    for (const graph::Edge& e : edges) {
-      const double flow = e.w * (x[e.u] - x[e.v]);
-      y[e.u] += flow;
-      y[e.v] -= flow;
-    }
-    return;
-  }
-  // Edge-parallel scatter would race on y; atomics would fix the race but
-  // leave the floating-point accumulation order thread-dependent, breaking
-  // the library-wide bit-determinism contract. Instead: compute all flows in
-  // parallel (the multiplies), then scatter serially in edge order -- the
-  // exact order of the serial path, so results are identical to it. The flow
-  // buffer lives on the operator so repeated applies (CG) do not reallocate.
-  flow_scratch_.resize(edges.size());
-  par::parallel_for(0, static_cast<std::int64_t>(edges.size()), [&](std::int64_t i) {
-    const graph::Edge& e = edges[i];
-    flow_scratch_[static_cast<std::size_t>(i)] = e.w * (x[e.u] - x[e.v]);
-  });
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    y[edges[i].u] += flow_scratch_[i];
-    y[edges[i].v] -= flow_scratch_[i];
-  }
+  // Row r adds the terms an edge-order scatter adds to y[r], in the same
+  // order and from the same 0.0, so the bits equal the scatter's (DESIGN.md
+  // section 3). Rows are independent: no atomics, no serial phase, no
+  // dependence on the thread count. A chunk holds about kChunkArcs arcs;
+  // small graphs run as one serial chunk.
+  constexpr std::size_t kChunkArcs = std::size_t{1} << 14;
+  const std::size_t n = dimension();
+  const std::size_t rows_per_chunk = n * kChunkArcs / std::max<std::size_t>(other_.size(), 1);
+  par::parallel_chunks(
+      0, static_cast<std::int64_t>(n),
+      [&](std::int64_t rb, std::int64_t re, std::int64_t /*chunk*/, int /*worker*/) {
+        for (std::int64_t r = rb; r < re; ++r) {
+          const double xr = x[r];
+          double sum = 0.0;
+          for (std::size_t k = offsets_[r]; k < offsets_[r + 1]; ++k)
+            sum += weight_[k] * (xr - x[other_[k]]);
+          y[r] = sum;
+        }
+      },
+      {.grain = static_cast<std::int64_t>(std::max<std::size_t>(rows_per_chunk, 1))});
 }
 
 Vector LaplacianOperator::apply(std::span<const double> x) const {
   Vector y(dimension());
   apply(x, y);
   return y;
-}
-
-double LaplacianOperator::quadratic_form(std::span<const double> x) const {
-  return laplacian_quadratic_form(*g_, x);
 }
 
 double laplacian_quadratic_form(const graph::Graph& g, std::span<const double> x) {

@@ -12,15 +12,21 @@ namespace {
 /// Approximate resident cost of an entry. The chain dominates: per stored
 /// nonzero a CSR keeps one double and one index (~16B); per level it keeps
 /// an n-vector of inverse diagonals; the source graph and its SDDMatrix
-/// copy cost ~24B/edge (two endpoints + weight). An estimate is fine here:
-/// the budget is a knob for "how many chains fit", not an allocator.
+/// copy cost ~24B/edge (two endpoints + weight). From the first solve on,
+/// the SDDMatrix also holds its Laplacian incidence lists: two 12B arcs per
+/// edge plus an offset per vertex. An estimate is fine here: the budget is a
+/// knob for "how many chains fit", not an allocator.
 std::size_t entry_cost_bytes(const graph::Graph& g, const solver::InverseChain& chain) {
   const std::size_t n = chain.dimension();
   const std::size_t per_nnz = sizeof(double) + sizeof(std::uint32_t) * 2;
   const std::size_t chain_bytes =
       chain.total_nnz() * per_nnz + chain.num_levels() * n * sizeof(double);
   const std::size_t graph_bytes = g.num_edges() * 24 + n * sizeof(std::uint64_t);
-  return chain_bytes + 2 * graph_bytes;  // graph + the SDDMatrix's copy
+  const std::size_t incidence_bytes =
+      2 * g.num_edges() * (sizeof(graph::Vertex) + sizeof(double)) +
+      (n + 1) * sizeof(std::size_t);
+  // Two graph copies: the registry's and the SDDMatrix's.
+  return chain_bytes + 2 * graph_bytes + incidence_bytes;
 }
 
 }  // namespace

@@ -170,9 +170,9 @@ void InverseChain::apply_tail(std::span<const double> b, std::span<double> y) co
   const std::size_t n = b.size();
   // The tail computes M x as d o x - A x from the stored adjacency CSR and
   // diagonal (one CSR traversal per application) rather than going through
-  // SDDMatrix's edge-list apply. The blocked tail uses the same formulation
-  // with the blocked CSR kernel, so single and blocked columns stay
-  // bit-identical while both get the cache-friendly traversal.
+  // SDDMatrix::apply. The blocked tail uses the same formulation with the
+  // blocked CSR kernel, so single and blocked columns stay bit-identical
+  // while both get the cache-friendly traversal.
   const Vector& d = lvl.matrix.diagonal();
 
   if (tail_ == TailSmoother::kChebyshev) {

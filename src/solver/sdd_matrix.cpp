@@ -1,5 +1,8 @@
 #include "solver/sdd_matrix.hpp"
 
+#include <mutex>
+#include <optional>
+
 #include "linalg/laplacian.hpp"
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
@@ -10,11 +13,20 @@ using graph::Graph;
 using linalg::CSRMatrix;
 using linalg::Vector;
 
+struct SDDMatrix::LazyLaplacian {
+  std::once_flag built;
+  std::optional<linalg::LaplacianOperator> op;
+};
+
+SDDMatrix::SDDMatrix() : laplacian_(std::make_shared<LazyLaplacian>()) {}
+
 SDDMatrix::SDDMatrix(Graph laplacian_part)
     : SDDMatrix(std::move(laplacian_part), Vector{}) {}
 
 SDDMatrix::SDDMatrix(Graph laplacian_part, Vector slack)
-    : graph_(std::move(laplacian_part)), slack_(std::move(slack)) {
+    : graph_(std::move(laplacian_part)),
+      slack_(std::move(slack)),
+      laplacian_(std::make_shared<LazyLaplacian>()) {
   if (slack_.empty()) slack_.assign(graph_.num_vertices(), 0.0);
   SPAR_CHECK(slack_.size() == graph_.num_vertices(), "SDDMatrix: slack size mismatch");
   for (double s : slack_) SPAR_CHECK(s >= 0.0, "SDDMatrix: slack must be nonnegative");
@@ -31,8 +43,8 @@ bool SDDMatrix::is_singular() const {
 void SDDMatrix::apply(std::span<const double> x, std::span<double> y) const {
   SPAR_CHECK(x.size() == dimension() && y.size() == dimension(),
              "SDDMatrix::apply: size mismatch");
-  const linalg::LaplacianOperator lap(graph_);
-  lap.apply(x, y);
+  std::call_once(laplacian_->built, [this] { laplacian_->op.emplace(graph_); });
+  laplacian_->op->apply(x, y);
   const auto n = static_cast<std::int64_t>(dimension());
   support::par::parallel_for(
       0, n, [&](std::int64_t i) { y[i] += slack_[i] * x[i]; },

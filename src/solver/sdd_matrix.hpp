@@ -6,6 +6,7 @@
 //   M^{-1} = 1/2 [ D^{-1} + (I + D^{-1}A)(D - A D^{-1} A)^{-1}(I + A D^{-1}) ].
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "graph/graph.hpp"
@@ -20,7 +21,7 @@ namespace spar::solver {
 class SDDMatrix {
  public:
   /// Empty matrix (dimension 0); assign a real one before use.
-  SDDMatrix() = default;
+  SDDMatrix();
 
   /// Pure graph Laplacian (slack = 0; singular with nullspace span{1} per
   /// connected component).
@@ -41,7 +42,8 @@ class SDDMatrix {
 
   bool is_singular() const;  ///< true iff slack is identically zero
 
-  /// y = M x  (matrix-free; OpenMP over the edge list + diagonal).
+  /// y = M x  (matrix-free, parallel over rows). The first call builds
+  /// L(graph)'s incidence lists, O(m) once; copies share them.
   void apply(std::span<const double> x, std::span<double> y) const;
   /// Allocating overload of apply(): returns M x as a fresh vector.
   linalg::Vector apply(std::span<const double> x) const;
@@ -70,9 +72,14 @@ class SDDMatrix {
   std::size_t nnz() const { return 2 * graph_.num_edges() + dimension(); }
 
  private:
+  struct LazyLaplacian;  // L(graph)'s kernel, built on the first apply()
+
   graph::Graph graph_;
   linalg::Vector slack_;
   linalg::Vector diagonal_;
+  /// Shared by copies, whose graphs are equal; the kernel owns its lists, so
+  /// a copy may outlive the matrix that built them.
+  std::shared_ptr<LazyLaplacian> laplacian_;
 };
 
 }  // namespace spar::solver

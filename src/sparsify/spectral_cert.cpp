@@ -59,18 +59,21 @@ ApproxBounds exact_relative_bounds(const Graph& g, const Graph& h) {
 
 namespace {
 
+// One side of the pencil: the graph, for the exact quadratic form, and its
+// Laplacian kernel, built once and shared by both power iterations.
+struct PencilSide {
+  const Graph& graph;
+  linalg::LaplacianOperator lap;
+};
+
 // Largest generalized eigenvalue of (L_num, L_den) via power iteration on
 // pinv(L_den) L_num. Rayleigh quotient x^T L_num x / x^T L_den x is exact at
 // each step, so the returned value is always a certified *inner* bound.
-double max_generalized_eigenvalue(const Graph& num, const Graph& den,
+double max_generalized_eigenvalue(const PencilSide& num, const PencilSide& den,
                                   const CertOptions& options, std::uint64_t salt) {
-  const std::size_t n = num.num_vertices();
-  const linalg::LaplacianOperator lap_num(num);
-  const linalg::LaplacianOperator lap_den(den);
+  const std::size_t n = num.graph.num_vertices();
   const linalg::LinearOperator den_op{
-      n, [&lap_den](std::span<const double> x, std::span<double> y) {
-        lap_den.apply(x, y);
-      }};
+      n, [&den](std::span<const double> x, std::span<double> y) { den.lap.apply(x, y); }};
 
   support::Rng rng(support::mix64(options.seed, salt));
   Vector x(n);
@@ -85,9 +88,9 @@ double max_generalized_eigenvalue(const Graph& num, const Graph& den,
   cg.project_constant = true;
 
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    const double den_q = lap_den.quadratic_form(x);
+    const double den_q = linalg::laplacian_quadratic_form(den.graph, x);
     if (den_q <= 0.0) break;
-    const double num_q = lap_num.quadratic_form(x);
+    const double num_q = linalg::laplacian_quadratic_form(num.graph, x);
     const double rayleigh = num_q / den_q;
     if (it > 0 && std::abs(rayleigh - lambda) <=
                       options.tolerance * std::max(1.0, std::abs(rayleigh))) {
@@ -95,7 +98,7 @@ double max_generalized_eigenvalue(const Graph& num, const Graph& den,
     }
     lambda = rayleigh;
     // x <- pinv(L_den) L_num x, renormalized.
-    lap_num.apply(x, y);
+    num.lap.apply(x, y);
     linalg::remove_mean(y);
     linalg::fill(z, 0.0);
     linalg::conjugate_gradient(den_op, y, z, cg);
@@ -113,14 +116,16 @@ ApproxBounds approx_relative_bounds(const Graph& g, const Graph& h,
                                     const CertOptions& options) {
   SPAR_CHECK(g.num_vertices() == h.num_vertices(),
              "approx_relative_bounds: vertex count mismatch");
+  const PencilSide g_side{g, linalg::LaplacianOperator(g)};
+  const PencilSide h_side{h, linalg::LaplacianOperator(h)};
   ApproxBounds bounds;
   bounds.defined = true;
-  bounds.upper = max_generalized_eigenvalue(h, g, options, 0xabcdULL);
+  bounds.upper = max_generalized_eigenvalue(h_side, g_side, options, 0xabcdULL);
   if (!graph::is_connected(graph::CSRGraph(h))) {
     bounds.lower = 0.0;  // pencil degenerates: some cut has zero H-weight
     return bounds;
   }
-  const double inv_lower = max_generalized_eigenvalue(g, h, options, 0xdcbaULL);
+  const double inv_lower = max_generalized_eigenvalue(g_side, h_side, options, 0xdcbaULL);
   bounds.lower = inv_lower > 0.0 ? 1.0 / inv_lower : 0.0;
   return bounds;
 }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <thread>
+
 #include "graph/generators.hpp"
 #include "linalg/laplacian.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace spar::solver {
@@ -12,6 +17,42 @@ namespace {
 
 using graph::Graph;
 using linalg::Vector;
+
+// M x as a serial edge-order scatter plus the slack term: the bits
+// SDDMatrix::apply must reproduce.
+Vector reference_apply(const Graph& g, const Vector& slack, const Vector& x) {
+  Vector y(g.num_vertices(), 0.0);
+  for (const graph::Edge& e : g.edges()) {
+    const double flow = e.w * (x[e.u] - x[e.v]);
+    y[e.u] += flow;
+    y[e.v] -= flow;
+  }
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] += slack[i] * x[i];
+  return y;
+}
+
+bool same_bits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+struct Fixture {
+  Graph g;
+  Vector slack;
+  Vector x;
+};
+
+// ~40k weighted edges, random slack on every vertex, a random x.
+Fixture large_fixture() {
+  Fixture f{graph::randomize_weights(graph::connected_erdos_renyi(400, 0.5, 8), 2.0, 9),
+            {}, {}};
+  support::Rng rng(10);
+  f.slack.resize(f.g.num_vertices());
+  for (double& s : f.slack) s = rng.uniform();
+  f.x.resize(f.g.num_vertices());
+  for (double& v : f.x) v = rng.normal();
+  return f;
+}
 
 TEST(SDDMatrix, PureLaplacianIsSingular) {
   const SDDMatrix m(graph::cycle_graph(6));
@@ -59,6 +100,40 @@ TEST(SDDMatrix, ApplyMatchesLaplacianPlusSlack) {
   for (std::size_t i = 0; i < x.size(); ++i) expected[i] += slack[i] * x[i];
   const Vector got = m.apply(x);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(got[i], expected[i], 1e-10);
+}
+
+TEST(SDDMatrix, ApplyBitIdenticalToEdgeOrderScatterAtEveryThreadCount) {
+  const Fixture f = large_fixture();
+  const Vector expected = reference_apply(f.g, f.slack, f.x);
+  const SDDMatrix m(f.g, f.slack);
+  for (const int threads : {1, 2, 4}) {
+    support::par::ThreadLimit limit(threads);
+    EXPECT_TRUE(same_bits(m.apply(f.x), expected)) << threads << " threads";
+  }
+}
+
+TEST(SDDMatrix, CopyTakenBeforeFirstApplyOutlivesTheOriginal) {
+  const Fixture f = large_fixture();
+  const Vector expected = reference_apply(f.g, f.slack, f.x);
+  auto original = std::make_unique<SDDMatrix>(f.g, f.slack);
+  const SDDMatrix copy = *original;
+  EXPECT_TRUE(same_bits(original->apply(f.x), expected));  // builds the shared kernel
+  original.reset();
+  EXPECT_TRUE(same_bits(copy.apply(f.x), expected));
+}
+
+TEST(SDDMatrix, ConcurrentFirstAppliesOnCopiesGetReferenceBits) {
+  const Fixture f = large_fixture();
+  const Vector expected = reference_apply(f.g, f.slack, f.x);
+  const SDDMatrix m(f.g, f.slack);
+  const SDDMatrix copy = m;
+  Vector ya, yb;
+  std::thread a([&] { ya = m.apply(f.x); });
+  std::thread b([&] { yb = copy.apply(f.x); });
+  a.join();
+  b.join();
+  EXPECT_TRUE(same_bits(ya, expected));
+  EXPECT_TRUE(same_bits(yb, expected));
 }
 
 TEST(SDDMatrix, QuadraticFormNonnegativeAndExact) {

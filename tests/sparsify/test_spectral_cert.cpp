@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "graph/generators.hpp"
 #include "support/error.hpp"
 
@@ -103,6 +106,25 @@ TEST(ApproxBoundsCert, DisconnectedHFlagsZeroLower) {
   h.add_edge(1, 2, 1.0);
   const ApproxBounds b = approx_relative_bounds(g, h);
   EXPECT_DOUBLE_EQ(b.lower, 0.0);
+}
+
+TEST(ApproxBoundsCert, FixedBudgetBoundsMatchGoldenBits) {
+  // G has 36,083 edges: above the 32,768-edge size at which an earlier
+  // Laplacian kernel switched from a serial scatter to a parallel one. The
+  // golden bits were recorded from that edge-order scatter; the certificate
+  // must reproduce them exactly at any thread count.
+  const Graph g =
+      graph::randomize_weights(graph::connected_erdos_renyi(300, 0.8, 5), 1.0, 6);
+  std::vector<bool> keep(g.num_edges());
+  for (std::size_t id = 0; id < keep.size(); ++id) keep[id] = id % 3 != 0;
+  const Graph h = graph::randomize_weights(g.filtered(keep), 0.5, 7);
+  ASSERT_EQ(g.num_edges(), 36083u);
+  const ApproxBounds b =
+      approx_relative_bounds(g, h, {.seed = 3, .tolerance = 0.0, .max_iterations = 6});
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(b.lower), 0x3fe4b222663fc790ULL)
+      << std::hexfloat << b.lower;  // 0x1.4b222663fc79p-1
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(b.upper), 0x3fe772c8a882dcc4ULL)
+      << std::hexfloat << b.upper;  // 0x1.772c8a882dcc4p-1
 }
 
 TEST(ApproxBoundsStruct, EpsilonIsMaxDeviation) {

@@ -234,16 +234,20 @@ TEST(ParallelCompact, EdgeCases) {
                                   {.grain = 64}),
             0u);
   EXPECT_EQ(calls, 0);
-  std::size_t last_pos = 0;
+  // emit runs concurrently across chunks, so it may only write its own slot;
+  // which call finishes last is unspecified.
+  std::vector<std::int64_t> at(1000, -1);
   EXPECT_EQ(par::parallel_compact(
                 0, 1000, [](std::int64_t) { return true; },
                 [&](std::int64_t i, std::size_t pos) {
                   EXPECT_EQ(static_cast<std::size_t>(i), pos);
-                  last_pos = pos;
+                  at[pos] = i;
                 },
                 {.grain = 64}),
             1000u);
-  EXPECT_EQ(last_pos, 999u);
+  for (std::size_t pos = 0; pos < at.size(); ++pos)
+    ASSERT_EQ(at[pos], static_cast<std::int64_t>(pos)) << "pos " << pos;
+  EXPECT_EQ(at[999], 999);
 }
 
 TEST(ThreadLimit, RestoresPreviousBudget) {
