@@ -4,100 +4,28 @@
 #include <cmath>
 
 #include "support/assert.hpp"
-#include "support/parallel.hpp"
 
 namespace spar::linalg {
 
 namespace {
 
-// Shared CG skeleton; `precondition` may be null for plain CG.
-CGReport cg_impl(const LinearOperator& a, const LinearOperator* m_inverse,
-                 std::span<const double> b, std::span<double> x,
-                 const CGOptions& options) {
+// CG on k columns in lockstep; the single-RHS entry points run it at width
+// 1. Per-column reductions go through the fused column_* kernels, whose
+// chunking and combine order are the single-vector vector_ops primitives',
+// and every update is the textbook scalar CG expression, so column j's
+// iterates are bit for bit those of a width-1 solve of b_j alone. Columns
+// freeze (convergence mask) where a width-1 solve would have stopped;
+// frozen columns still ride along in the blocked operator applications
+// (their output is simply never read) -- that is what lets A and the
+// preconditioner traverse their sparse structure once per iteration for the
+// whole block.
+template <typename Width>
+BlockCGReport block_cg(Width width, const BlockOperator& a, const BlockOperator* m_inverse,
+                       const MultiVector& b, MultiVector& x, const CGOptions& options) {
   const std::size_t n = a.dim;
-  SPAR_CHECK(b.size() == n && x.size() == n, "cg: size mismatch");
-  CGReport report;
-
-  Vector rhs(b.begin(), b.end());
-  if (options.project_constant) remove_mean(rhs);
-  const double b_norm = norm2(rhs);
-  if (b_norm == 0.0) {
-    fill(x, 0.0);
-    report.converged = true;
-    return report;
-  }
-
-  Vector r(n), z(n), p(n), ap(n);
-  if (options.project_constant) remove_mean(x);
-  a.apply(x, ap);
-  ++report.matvec_count;
-  for (std::size_t i = 0; i < n; ++i) r[i] = rhs[i] - ap[i];
-  if (options.project_constant) remove_mean(r);
-
-  auto apply_precond = [&](std::span<const double> in, std::span<double> out) {
-    if (m_inverse != nullptr) {
-      m_inverse->apply(in, out);
-      if (options.project_constant) remove_mean(out);
-    } else {
-      copy(in, out);
-    }
-  };
-
-  apply_precond(r, z);
-  copy(z, p);
-  double rz = dot(r, z);
-
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    const double r_norm = norm2(r);
-    report.relative_residual = r_norm / b_norm;
-    if (report.relative_residual <= options.tolerance) {
-      report.converged = true;
-      return report;
-    }
-    a.apply(p, ap);
-    ++report.matvec_count;
-    if (options.project_constant) remove_mean(ap);
-    const double p_ap = dot(p, ap);
-    if (p_ap <= 0.0) break;  // operator not PD on this subspace; bail out
-    const double alpha = rz / p_ap;
-    axpy(alpha, p, x);
-    axpy(-alpha, ap, r);
-    if (options.project_constant) remove_mean(r);
-    apply_precond(r, z);
-    const double rz_next = dot(r, z);
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    support::par::parallel_for(
-        0, static_cast<std::int64_t>(n),
-        [&](std::int64_t i) { p[i] = z[i] + beta * p[i]; },
-        {.enable = n > (1u << 14)});
-    ++report.iterations;
-  }
-  report.relative_residual = norm2(r) / b_norm;
-  report.converged = report.relative_residual <= options.tolerance;
-  return report;
-}
-
-// Blocked CG skeleton: cg_impl run on k columns in lockstep. Per-column
-// reductions go through the fused column_* kernels, whose chunking and
-// combine order replicate the single-vector vector_ops primitives bit for
-// bit; every update replicates cg_impl's expression and order. Columns
-// freeze (convergence mask) exactly where the single-RHS loop would have
-// exited; frozen columns still ride along in the blocked operator
-// applications (their output is simply never read) -- that is what lets A
-// and the preconditioner traverse their sparse structure once per iteration
-// for the whole block.
-BlockCGReport blocked_cg_impl(const BlockOperator& a, const BlockOperator* m_inverse,
-                              const MultiVector& b, MultiVector& x,
-                              const CGOptions& options) {
-  namespace par = support::par;
-  const std::size_t n = a.dim;
-  const std::size_t k = b.cols();
-  SPAR_CHECK(b.rows() == n && x.rows() == n && x.cols() == k,
-             "blocked cg: size mismatch");
+  const std::size_t k = width.value;
   BlockCGReport report;
   report.columns.resize(k);
-  if (k == 0) return report;
 
   MultiVector rhs = b;
   if (options.project_constant) remove_mean_columns(rhs);
@@ -117,23 +45,17 @@ BlockCGReport blocked_cg_impl(const BlockOperator& a, const BlockOperator* m_inv
   };
   if (none_active()) return report;
 
-  // Masked elementwise sweep: f(row pointer pairs) applied to active columns
-  // only (i-outer, j-inner: one contiguous pass over the interleaved block).
-  const auto masked_rows = [&](std::span<const std::uint8_t> mask, auto&& f) {
-    par::parallel_for(
-        0, static_cast<std::int64_t>(n),
-        [&](std::int64_t i) { f(static_cast<std::size_t>(i), mask); },
-        {.enable = n > (1u << 14)});
-  };
-
   MultiVector r(n, k), z(n, k), p(n, k), ap(n, k);
+  double* const pr = r.data().data();
+  double* const pz = z.data().data();
+  double* const pp = p.data().data();
+  const double* const pap = ap.data().data();
+  const double* const prhs = rhs.data().data();
   if (options.project_constant) remove_mean_columns(x);
   a.apply(x, ap);
   ++report.block_applies;
-  masked_rows(active, [&](std::size_t i, std::span<const std::uint8_t> mask) {
-    for (std::size_t j = 0; j < k; ++j)
-      if (mask[j]) r.at(i, j) = rhs.at(i, j) - ap.at(i, j);
-  });
+  masked_sweep(width, n, active,
+               [&](std::size_t e, std::size_t) { pr[e] = prhs[e] - pap[e]; });
   if (options.project_constant) remove_mean_columns(r, active);
 
   const auto apply_precond = [&] {
@@ -141,21 +63,17 @@ BlockCGReport blocked_cg_impl(const BlockOperator& a, const BlockOperator* m_inv
       m_inverse->apply(r, z);
       if (options.project_constant) remove_mean_columns(z, active);
     } else {
-      masked_rows(active, [&](std::size_t i, std::span<const std::uint8_t> mask) {
-        for (std::size_t j = 0; j < k; ++j)
-          if (mask[j]) z.at(i, j) = r.at(i, j);
-      });
+      masked_sweep(width, n, active, [&](std::size_t e, std::size_t) { pz[e] = pr[e]; });
     }
   };
 
   apply_precond();
-  masked_rows(active, [&](std::size_t i, std::span<const std::uint8_t> mask) {
-    for (std::size_t j = 0; j < k; ++j)
-      if (mask[j]) p.at(i, j) = z.at(i, j);
-  });
+  masked_sweep(width, n, active, [&](std::size_t e, std::size_t) { pp[e] = pz[e]; });
   Vector rz = column_dots(r, z);
 
-  Vector alpha(k, 0.0), neg_alpha(k, 0.0), beta(k, 0.0);
+  Vector alpha(k, 0.0), neg_alpha(k, 0.0);
+  auto beta = width.zeros();
+  std::vector<std::uint8_t> advance(k);
   for (std::size_t it = 0; it < options.max_iterations; ++it) {
     const Vector r_norms = column_norms(r);
     for (std::size_t j = 0; j < k; ++j) {
@@ -163,7 +81,7 @@ BlockCGReport blocked_cg_impl(const BlockOperator& a, const BlockOperator* m_inv
       report.columns[j].relative_residual = r_norms[j] / b_norm[j];
       if (report.columns[j].relative_residual <= options.tolerance) {
         report.columns[j].converged = true;
-        active[j] = 0;  // freeze: exactly where the single-RHS loop returns
+        active[j] = 0;  // freeze: this column's solve is done
       }
     }
     if (none_active()) break;
@@ -171,11 +89,11 @@ BlockCGReport blocked_cg_impl(const BlockOperator& a, const BlockOperator* m_inv
     ++report.block_applies;
     if (options.project_constant) remove_mean_columns(ap, active);
     const Vector p_ap = column_dots(p, ap);
-    // `advance` = columns that run this iteration's updates; a column whose
-    // search direction is not PD-positive stalls here, exactly where the
-    // single-RHS loop breaks and re-derives convergence from the untouched
-    // residual.
-    std::vector<std::uint8_t> advance = active;
+    // `advance` = columns that run this iteration's updates. A column whose
+    // search direction is not PD-positive (the operator is not PD on this
+    // subspace) stops here and keeps the convergence verdict of its
+    // untouched residual.
+    advance = active;
     for (std::size_t j = 0; j < k; ++j) {
       if (!active[j]) continue;
       if (p_ap[j] <= 0.0) {
@@ -199,10 +117,8 @@ BlockCGReport blocked_cg_impl(const BlockOperator& a, const BlockOperator* m_inv
       beta[j] = rz_next[j] / rz[j];
       rz[j] = rz_next[j];
     }
-    masked_rows(advance, [&](std::size_t i, std::span<const std::uint8_t> mask) {
-      for (std::size_t j = 0; j < k; ++j)
-        if (mask[j]) p.at(i, j) = z.at(i, j) + beta[j] * p.at(i, j);
-    });
+    masked_sweep(width, n, advance,
+                 [&](std::size_t e, std::size_t j) { pp[e] = pz[e] + beta[j] * pp[e]; });
     for (std::size_t j = 0; j < k; ++j)
       if (advance[j]) report.columns[j].iterations = it + 1;
   }
@@ -220,28 +136,56 @@ BlockCGReport blocked_cg_impl(const BlockOperator& a, const BlockOperator* m_inv
   return report;
 }
 
+BlockCGReport block_cg(const BlockOperator& a, const BlockOperator* m_inverse,
+                       const MultiVector& b, MultiVector& x, const CGOptions& options) {
+  SPAR_CHECK(b.rows() == a.dim && x.rows() == a.dim && x.cols() == b.cols(),
+             "blocked cg: size mismatch");
+  if (b.cols() == 0) return {};
+  return with_width(b.cols(), [&](auto width) {
+    return block_cg(width, a, m_inverse, b, x, options);
+  });
+}
+
+// A single right-hand side is a width-1 block.
+CGReport single_rhs_cg(const LinearOperator& a, const LinearOperator* m_inverse,
+                       std::span<const double> b, std::span<double> x,
+                       const CGOptions& options) {
+  SPAR_CHECK(b.size() == a.dim && x.size() == a.dim, "cg: size mismatch");
+  MultiVector b1(a.dim, 1), x1(a.dim, 1);
+  copy(b, b1.data());
+  copy(x, x1.data());
+  const BlockOperator m1 = m_inverse != nullptr ? column_block_operator(*m_inverse)
+                                                : BlockOperator{};
+  const BlockCGReport block = block_cg(column_block_operator(a),
+                                       m_inverse != nullptr ? &m1 : nullptr, b1, x1, options);
+  copy(x1.data(), x);
+  const BlockColumnStats& column = block.columns.front();
+  return {column.iterations, column.relative_residual, column.converged,
+          block.block_applies};
+}
+
 }  // namespace
 
 CGReport conjugate_gradient(const LinearOperator& a, std::span<const double> b,
                             std::span<double> x, const CGOptions& options) {
-  return cg_impl(a, nullptr, b, x, options);
+  return single_rhs_cg(a, nullptr, b, x, options);
 }
 
 CGReport preconditioned_cg(const LinearOperator& a, const LinearOperator& m_inverse,
                            std::span<const double> b, std::span<double> x,
                            const CGOptions& options) {
-  return cg_impl(a, &m_inverse, b, x, options);
+  return single_rhs_cg(a, &m_inverse, b, x, options);
 }
 
 BlockCGReport blocked_conjugate_gradient(const BlockOperator& a, const MultiVector& b,
                                          MultiVector& x, const CGOptions& options) {
-  return blocked_cg_impl(a, nullptr, b, x, options);
+  return block_cg(a, nullptr, b, x, options);
 }
 
 BlockCGReport blocked_pcg(const BlockOperator& a, const BlockOperator& m_inverse,
                           const MultiVector& b, MultiVector& x,
                           const CGOptions& options) {
-  return blocked_cg_impl(a, &m_inverse, b, x, options);
+  return block_cg(a, &m_inverse, b, x, options);
 }
 
 }  // namespace spar::linalg

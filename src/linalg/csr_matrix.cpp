@@ -61,107 +61,89 @@ CSRMatrix CSRMatrix::diagonal(std::span<const double> d) {
   return from_triplets(d.size(), d.size(), std::move(t), /*drop_zeros=*/false);
 }
 
-void CSRMatrix::multiply(std::span<const double> x, std::span<double> y) const {
-  SPAR_CHECK(x.size() == cols_ && y.size() == rows_, "multiply: size mismatch");
-  par::parallel_for(
-      0, static_cast<std::int64_t>(rows_),
-      [&](std::int64_t r) {
-        double sum = 0.0;
-        for (std::size_t k = offsets_[static_cast<std::size_t>(r)];
-             k < offsets_[static_cast<std::size_t>(r) + 1]; ++k)
-          sum += values_[k] * x[col_index_[k]];
-        y[static_cast<std::size_t>(r)] = sum;
-      },
-      {.enable = nnz() > (1u << 14)});
-}
-
 namespace {
 
-// One row of the blocked SpMM at a compile-time column tile: TILE
-// accumulators unroll/vectorize, and the next gathers are software-prefetched
-// so their L3/DRAM latency hides behind the arithmetic (the gathers are what
-// an SpMM is bound by once the block outgrows L2 -- measured 82 -> 22
-// cycles/nz for a 16-wide block on the E13 instances, BENCH_pr5.json). Per
-// column the
-// accumulation order over the row is exactly the scalar kernel's; prefetch
-// and unrolling change no arithmetic, so each output column stays
-// bit-identical to a single-vector multiply.
+// One row of Y = A X over a column tile [j0, j0 + TILE) of a row-interleaved
+// block `width` columns wide (x and y point at column j0). Per column the
+// accumulation order over the row is exactly the scalar SpMV's, so each
+// output column is bit-identical to a single-vector multiply; at TILE = 1
+// and width 1 this is that scalar loop. Wide tiles software-prefetch the
+// gathers ahead so their L3/DRAM latency hides behind the arithmetic (the
+// gathers are what an SpMM is bound by once the block outgrows L2 --
+// measured 82 -> 22 cycles/nz for a 16-wide block on the E13 instances,
+// BENCH_pr5.json); prefetch and unrolling change no arithmetic.
 template <std::size_t TILE>
 inline void spmm_row_tile(const double* values, const std::uint32_t* cols,
-                          std::size_t begin, std::size_t end, const double* xd,
-                          std::size_t width, std::size_t j0, double* yr) {
+                          std::size_t begin, std::size_t end, const double* x,
+                          std::size_t width, double* y) {
   constexpr std::size_t kPrefetchDistance = 16;
   double acc[TILE] = {};
   for (std::size_t k = begin; k < end; ++k) {
-    if (k + kPrefetchDistance < end) {
-      const double* ahead = xd + cols[k + kPrefetchDistance] * width + j0;
-      __builtin_prefetch(ahead);
-      if constexpr (TILE * sizeof(double) > 64) __builtin_prefetch(ahead + 8);
+    if constexpr (TILE >= 4) {
+      if (k + kPrefetchDistance < end) {
+        const double* ahead = x + cols[k + kPrefetchDistance] * width;
+        __builtin_prefetch(ahead);
+        if constexpr (TILE * sizeof(double) > 64) __builtin_prefetch(ahead + 8);
+      }
     }
     const double v = values[k];
-    const double* xc = xd + cols[k] * width + j0;
+    const double* xc = x + cols[k] * width;
     for (std::size_t t = 0; t < TILE; ++t) acc[t] += v * xc[t];
   }
-  for (std::size_t t = 0; t < TILE; ++t) yr[t] = acc[t];
+  for (std::size_t t = 0; t < TILE; ++t) y[t] = acc[t];
+}
+
+// Y = A X for a row-interleaved block: one traversal of the CSR structure
+// serves every column -- per nonzero, the block hands all `width` values of
+// x[col] in one or two cache lines (this is what makes SpMM beat k SpMVs;
+// column-major blocks would issue k independent gathers per nonzero and lose
+// the win). A row is covered by the widest register tiles that fit, so each
+// instantiated width walks each row once.
+template <typename Width>
+void spmm(Width width, const CSRMatrix& a, const double* x, double* y) {
+  const std::size_t k = width.value;
+  const std::size_t* offsets = a.row_offsets().data();
+  const std::uint32_t* cols = a.col_indices().data();
+  const double* values = a.values().data();
+  par::parallel_for(
+      0, static_cast<std::int64_t>(a.rows()),
+      [&](std::int64_t r) {
+        const std::size_t row = static_cast<std::size_t>(r);
+        const std::size_t begin = offsets[row];
+        const std::size_t end = offsets[row + 1];
+        double* yr = y + row * k;
+        std::size_t j0 = 0;
+        for (; j0 + 16 <= k; j0 += 16)
+          spmm_row_tile<16>(values, cols, begin, end, x + j0, k, yr + j0);
+        for (; j0 + 4 <= k; j0 += 4)
+          spmm_row_tile<4>(values, cols, begin, end, x + j0, k, yr + j0);
+        for (; j0 + 2 <= k; j0 += 2)
+          spmm_row_tile<2>(values, cols, begin, end, x + j0, k, yr + j0);
+        for (; j0 < k; ++j0)
+          spmm_row_tile<1>(values, cols, begin, end, x + j0, k, yr + j0);
+      },
+      {.enable = a.nnz() > (1u << 14)});
 }
 
 }  // namespace
 
+void CSRMatrix::multiply(std::span<const double> x, std::span<double> y) const {
+  SPAR_CHECK(x.size() == cols_ && y.size() == rows_, "multiply: size mismatch");
+  spmm(FixedWidth<1>{}, *this, x.data(), y.data());
+}
+
 void CSRMatrix::multiply(const MultiVector& x, MultiVector& y) const {
   SPAR_CHECK(x.rows() == cols_ && y.rows() == rows_ && x.cols() == y.cols(),
              "multiply: block shape mismatch");
-  const std::size_t width = x.cols();
-  if (width == 0) return;
-  // One traversal of the CSR structure serves every column: per nonzero, the
-  // row-interleaved block hands all `width` values of x[col] in one or two
-  // cache lines (this is what makes SpMM beat k SpMVs -- column-major blocks
-  // would issue k independent gathers per nonzero and lose the win). Columns
-  // are processed in fixed-width register tiles; per column the accumulation
-  // order over a row is exactly multiply()'s, so each output column is
-  // bit-identical to a single-vector multiply.
-  const double* xd = x.data().data();
-  double* yd = y.data().data();
-  par::parallel_for(
-      0, static_cast<std::int64_t>(rows_),
-      [&](std::int64_t r) {
-        const std::size_t row = static_cast<std::size_t>(r);
-        const std::size_t begin = offsets_[row];
-        const std::size_t end = offsets_[row + 1];
-        double* yr = yd + row * width;
-        std::size_t j0 = 0;
-        for (; j0 + 16 <= width; j0 += 16)
-          spmm_row_tile<16>(values_.data(), col_index_.data(), begin, end, xd,
-                            width, j0, yr + j0);
-        for (; j0 + 4 <= width; j0 += 4)
-          spmm_row_tile<4>(values_.data(), col_index_.data(), begin, end, xd,
-                           width, j0, yr + j0);
-        for (; j0 < width; ++j0)
-          spmm_row_tile<1>(values_.data(), col_index_.data(), begin, end, xd,
-                           width, j0, yr + j0);
-      },
-      {.enable = nnz() > (1u << 14)});
+  with_width(x.cols(), [&](auto width) {
+    spmm(width, *this, x.data().data(), y.data().data());
+  });
 }
 
 Vector CSRMatrix::multiply(std::span<const double> x) const {
   Vector y(rows_);
   multiply(x, y);
   return y;
-}
-
-void CSRMatrix::multiply_add(std::span<const double> x, std::span<double> y,
-                             double beta) const {
-  SPAR_CHECK(x.size() == cols_ && y.size() == rows_, "multiply_add: size mismatch");
-  par::parallel_for(
-      0, static_cast<std::int64_t>(rows_),
-      [&](std::int64_t r) {
-        double sum = 0.0;
-        for (std::size_t k = offsets_[static_cast<std::size_t>(r)];
-             k < offsets_[static_cast<std::size_t>(r) + 1]; ++k)
-          sum += values_[k] * x[col_index_[k]];
-        y[static_cast<std::size_t>(r)] =
-            sum + beta * y[static_cast<std::size_t>(r)];
-      },
-      {.enable = nnz() > (1u << 14)});
 }
 
 CSRMatrix CSRMatrix::multiply(const CSRMatrix& other) const {

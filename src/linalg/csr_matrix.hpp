@@ -40,19 +40,17 @@ class CSRMatrix {
   std::span<const double> values() const { return values_; }
   std::span<double> mutable_values() { return values_; }
 
-  /// y = A x  (OpenMP over rows).
+  /// y = A x (parallel over rows): the width-1 instantiation of the blocked
+  /// kernel below.
   void multiply(std::span<const double> x, std::span<double> y) const;
   Vector multiply(std::span<const double> x) const;
 
   /// Y = A X, blocked: one traversal of the CSR structure applies A to every
   /// column (the matrix data is streamed once instead of X.cols() times --
   /// the batched-solve hot path). Per column the row accumulation order is
-  /// exactly multiply()'s, so each output column is bit-identical to a
-  /// single-vector multiply of that column.
+  /// the same as a single-vector multiply's, so each output column is
+  /// bit-identical to multiplying that column alone.
   void multiply(const MultiVector& x, MultiVector& y) const;
-
-  /// y = A x + beta * y
-  void multiply_add(std::span<const double> x, std::span<double> y, double beta) const;
 
   /// C = A * B (Gustavson; OpenMP over rows of A).
   CSRMatrix multiply(const CSRMatrix& other) const;

@@ -4,7 +4,6 @@
 
 #include "linalg/operator.hpp"
 #include "support/assert.hpp"
-#include "support/parallel.hpp"
 
 namespace spar::linalg {
 
@@ -16,25 +15,37 @@ constexpr std::int64_t kParThreshold = 1 << 14;
 
 namespace par = support::par;
 
-// Fused per-column reduction: map_row(i, partial[k]) accumulates row i into
+// Fused per-column reduction: map_row(i, partial) accumulates row i into
 // the per-column partials. Chunking and the ascending-chunk combine replicate
 // par::parallel_sum over [0, rows) per column, so each out[j] is bit-identical
 // to the scalar reduction on column j alone.
-template <typename MapRow>
-Vector column_reduce(std::size_t rows, std::size_t cols, MapRow&& map_row) {
+template <typename Width, typename MapRow>
+auto column_reduce(Width width, std::size_t rows, MapRow&& map_row) {
+  using Partial = decltype(width.zeros());
   const auto n = static_cast<std::int64_t>(rows);
-  return par::parallel_reduce<Vector>(
-      0, n, Vector(cols, 0.0),
+  return par::parallel_reduce<Partial>(
+      0, n, width.zeros(),
       [&](std::int64_t cb, std::int64_t ce) {
-        Vector partial(cols, 0.0);
+        Partial partial = width.zeros();
         for (std::int64_t i = cb; i < ce; ++i) map_row(static_cast<std::size_t>(i), partial);
         return partial;
       },
-      [](Vector acc, const Vector& p) {
-        for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += p[j];
+      [&](Partial acc, const Partial& p) {
+        for (std::size_t j = 0; j < width.value; ++j) acc[j] += p[j];
         return acc;
       },
       {.enable = n >= kParThreshold});
+}
+
+template <typename Width>
+auto column_means(Width width, const MultiVector& x) {
+  const std::size_t k = width.value;
+  const double* px = x.data().data();
+  auto out = column_reduce(width, x.rows(), [&](std::size_t i, auto& partial) {
+    for (std::size_t j = 0; j < k; ++j) partial[j] += px[i * k + j];
+  });
+  for (double& v : out) v /= static_cast<double>(x.rows());
+  return out;
 }
 
 }  // namespace
@@ -67,13 +78,14 @@ void MultiVector::fill_all(double value) { fill(data_, value); }
 Vector column_dots(const MultiVector& a, const MultiVector& b) {
   SPAR_CHECK(a.rows() == b.rows() && a.cols() == b.cols(),
              "column_dots: shape mismatch");
-  const std::size_t k = a.cols();
   const double* pa = a.data().data();
   const double* pb = b.data().data();
-  return column_reduce(a.rows(), k, [&](std::size_t i, Vector& partial) {
-    const double* ra = pa + i * k;
-    const double* rb = pb + i * k;
-    for (std::size_t j = 0; j < k; ++j) partial[j] += ra[j] * rb[j];
+  return with_width(a.cols(), [&](auto width) {
+    const std::size_t k = width.value;
+    const auto dots = column_reduce(width, a.rows(), [&](std::size_t i, auto& partial) {
+      for (std::size_t j = 0; j < k; ++j) partial[j] += pa[i * k + j] * pb[i * k + j];
+    });
+    return Vector(dots.begin(), dots.end());
   });
 }
 
@@ -84,32 +96,23 @@ Vector column_norms(const MultiVector& a) {
 }
 
 Vector column_means(const MultiVector& x) {
-  const std::size_t k = x.cols();
-  if (x.rows() == 0) return Vector(k, 0.0);
-  const double* px = x.data().data();
-  Vector out = column_reduce(x.rows(), k, [&](std::size_t i, Vector& partial) {
-    const double* rx = px + i * k;
-    for (std::size_t j = 0; j < k; ++j) partial[j] += rx[j];
+  if (x.rows() == 0) return Vector(x.cols(), 0.0);
+  return with_width(x.cols(), [&](auto width) {
+    const auto means = column_means(width, x);
+    return Vector(means.begin(), means.end());
   });
-  for (double& v : out) v /= static_cast<double>(x.rows());
-  return out;
 }
 
 void remove_mean_columns(MultiVector& x, std::span<const std::uint8_t> mask) {
   SPAR_CHECK(mask.empty() || mask.size() == x.cols(),
              "remove_mean_columns: mask size mismatch");
-  const Vector means = column_means(x);
-  const auto n = static_cast<std::int64_t>(x.rows());
-  const std::size_t k = x.cols();
+  if (x.rows() == 0) return;
   double* px = x.data().data();
-  par::parallel_for(
-      0, n,
-      [&](std::int64_t i) {
-        double* row = px + static_cast<std::size_t>(i) * k;
-        for (std::size_t j = 0; j < k; ++j)
-          if (mask.empty() || mask[j]) row[j] -= means[j];
-      },
-      {.enable = n >= kParThreshold});
+  with_width(x.cols(), [&](auto width) {
+    const auto means = column_means(width, x);
+    masked_sweep(width, x.rows(), mask,
+                 [&](std::size_t e, std::size_t j) { px[e] -= means[j]; });
+  });
 }
 
 void column_axpy(std::span<const double> alpha, const MultiVector& x, MultiVector& y,
@@ -117,19 +120,12 @@ void column_axpy(std::span<const double> alpha, const MultiVector& x, MultiVecto
   SPAR_CHECK(x.rows() == y.rows() && x.cols() == y.cols() &&
                  alpha.size() == x.cols() && (mask.empty() || mask.size() == x.cols()),
              "column_axpy: shape mismatch");
-  const auto n = static_cast<std::int64_t>(x.rows());
-  const std::size_t k = x.cols();
   const double* px = x.data().data();
   double* py = y.data().data();
-  par::parallel_for(
-      0, n,
-      [&](std::int64_t i) {
-        const double* rx = px + static_cast<std::size_t>(i) * k;
-        double* ry = py + static_cast<std::size_t>(i) * k;
-        for (std::size_t j = 0; j < k; ++j)
-          if (mask.empty() || mask[j]) ry[j] += alpha[j] * rx[j];
-      },
-      {.enable = n >= kParThreshold});
+  with_width(x.cols(), [&](auto width) {
+    masked_sweep(width, x.rows(), mask,
+                 [&](std::size_t e, std::size_t j) { py[e] += alpha[j] * px[e]; });
+  });
 }
 
 BlockOperator column_block_operator(const LinearOperator& op) {
@@ -138,6 +134,8 @@ BlockOperator column_block_operator(const LinearOperator& op) {
   // trip through contiguous buffers, so per-column results are exactly the
   // wrapped operator's.
   return {op.dim, [op](const MultiVector& x, MultiVector& y) {
+            // A width-1 block is one contiguous column: no round trip.
+            if (x.cols() == 1) return op.apply(x.data(), y.data());
             Vector in(x.rows()), out(x.rows());
             for (std::size_t j = 0; j < x.cols(); ++j) {
               for (std::size_t i = 0; i < x.rows(); ++i) in[i] = x.at(i, j);

@@ -29,7 +29,8 @@ struct BlockOperator {
 
 /// A BlockOperator that applies `op` to each column in turn (the fallback
 /// for operators without a native blocked kernel; per-column bit-identity is
-/// trivial).
+/// trivial). A width-1 block is one contiguous column and goes to `op`
+/// without a copy.
 BlockOperator column_block_operator(const LinearOperator& op);
 
 }  // namespace spar::linalg

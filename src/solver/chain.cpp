@@ -4,8 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "linalg/chebyshev.hpp"
-#include "linalg/eigen_iterative.hpp"
 #include "solver/squaring.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -15,9 +13,9 @@ namespace spar::solver {
 using linalg::Vector;
 
 InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
-  tail_ = options.tail;
+  SPAR_CHECK(options.max_levels >= 1,
+             "InverseChain: ChainOptions::max_levels must be >= 1 (got 0)");
   jacobi_steps_ = options.last_level_jacobi_steps;
-  chebyshev_steps_ = options.last_level_chebyshev_steps;
   project_constant_ = m.is_singular();
 
   SDDMatrix current = std::move(m);
@@ -114,21 +112,6 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
     }
     current = std::move(squared);
   }
-
-  if (tail_ == TailSmoother::kChebyshev) {
-    // Spectral bounds of the last level for the Chebyshev tail. Ritz values
-    // converge from inside, so pad: /4 below (must be a true lower bound for
-    // every mode to be damped), *1.05 above.
-    const SDDMatrix& last = levels_.back().matrix;
-    const linalg::LinearOperator op{
-        last.dimension(), [&last](std::span<const double> in, std::span<double> out) {
-          last.apply(in, out);
-        }};
-    const auto ritz = linalg::lanczos_extreme(op, support::mix64(options.seed, 0xc4ebULL),
-                                              60, project_constant_);
-    tail_lambda_min_ = std::max(ritz.min_eigenvalue / 4.0, 1e-12);
-    tail_lambda_max_ = ritz.max_eigenvalue * 1.05;
-  }
 }
 
 std::size_t InverseChain::total_nnz() const {
@@ -137,159 +120,88 @@ std::size_t InverseChain::total_nnz() const {
   return total;
 }
 
-void InverseChain::apply_level(std::size_t level, std::span<const double> b,
-                               std::span<double> y) const {
-  const Level& lvl = levels_[level];
-  const std::size_t n = b.size();
-
+template <typename Width>
+void InverseChain::apply_level(Width width, std::size_t level,
+                               const linalg::MultiVector& b,
+                               linalg::MultiVector& y) const {
   if (level + 1 == levels_.size()) {
-    apply_tail(b, y);
+    apply_tail(width, b, y);
     return;
   }
-
-  // u = (I + A D^{-1}) b
-  Vector scaled(n), u(n);
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = lvl.inv_diagonal[i] * b[i];
-  lvl.adjacency.multiply(scaled, u);
-  for (std::size_t i = 0; i < n; ++i) u[i] += b[i];
-
-  // v = M_{i+1}^{-1} u
-  Vector v(n);
-  apply_level(level + 1, u, v);
-
-  // y = 1/2 (D^{-1} b + v + D^{-1} A v)
-  Vector av(n);
-  lvl.adjacency.multiply(v, av);
-  for (std::size_t i = 0; i < n; ++i)
-    y[i] = 0.5 * (lvl.inv_diagonal[i] * b[i] + v[i] + lvl.inv_diagonal[i] * av[i]);
-  if (project_constant_) linalg::remove_mean(y);
-}
-
-void InverseChain::apply_tail(std::span<const double> b, std::span<double> y) const {
-  const Level& lvl = levels_.back();
-  const std::size_t n = b.size();
-  // The tail computes M x as d o x - A x from the stored adjacency CSR and
-  // diagonal (one CSR traversal per application) rather than going through
-  // SDDMatrix::apply. The blocked tail uses the same formulation with the
-  // blocked CSR kernel, so single and blocked columns stay bit-identical
-  // while both get the cache-friendly traversal.
-  const Vector& d = lvl.matrix.diagonal();
-
-  if (tail_ == TailSmoother::kChebyshev) {
-    const linalg::LinearOperator op{
-        n, [&lvl, &d](std::span<const double> in, std::span<double> out) {
-          lvl.adjacency.multiply(in, out);
-          for (std::size_t i = 0; i < in.size(); ++i) out[i] = d[i] * in[i] - out[i];
-        }};
-    Vector x(n, 0.0);
-    linalg::ChebyshevOptions copt;
-    copt.lambda_min = tail_lambda_min_;
-    copt.lambda_max = tail_lambda_max_;
-    copt.iterations = chebyshev_steps_;
-    copt.project_constant = project_constant_;
-    linalg::chebyshev_solve(op, b, x, copt);
-    if (project_constant_) linalg::remove_mean(x);
-    linalg::copy(x, y);
-    return;
-  }
-
-  // Damped Jacobi on M x = b starting from x = D^{-1} b:
-  //   x <- x + D^{-1}(b - M x)
-  Vector x(n), ax(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = lvl.inv_diagonal[i] * b[i];
-  for (std::size_t step = 0; step < jacobi_steps_; ++step) {
-    lvl.adjacency.multiply(x, ax);
-    for (std::size_t i = 0; i < n; ++i)
-      x[i] += lvl.inv_diagonal[i] * (b[i] - (d[i] * x[i] - ax[i]));
-  }
-  if (project_constant_) linalg::remove_mean(x);
-  linalg::copy(x, y);
-}
-
-void InverseChain::apply_level_multi(std::size_t level, const linalg::MultiVector& b,
-                                     linalg::MultiVector& y) const {
   const Level& lvl = levels_[level];
   const std::size_t n = b.rows();
-  const std::size_t k = b.cols();
-
-  if (level + 1 == levels_.size()) {
-    apply_tail_multi(b, y);
-    return;
-  }
+  const std::size_t k = width.value;
+  const double* pb = b.data().data();
 
   // u = (I + A D^{-1}) b, with the A-multiply blocked across all k columns
   // (elementwise sweeps go i-outer, j-inner: one contiguous pass over the
-  // interleaved block; per column the arithmetic is apply_level's exactly).
+  // interleaved block).
   linalg::MultiVector u(n, k);
   {
     linalg::MultiVector scaled(n, k);
+    double* ps = scaled.data().data();
     for (std::size_t i = 0; i < n; ++i) {
       const double inv_d = lvl.inv_diagonal[i];
-      for (std::size_t j = 0; j < k; ++j) scaled.at(i, j) = inv_d * b.at(i, j);
+#pragma GCC unroll 1  // see linalg::masked_sweep
+      for (std::size_t j = 0; j < k; ++j) ps[i * k + j] = inv_d * pb[i * k + j];
     }
     lvl.adjacency.multiply(scaled, u);
   }
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < k; ++j) u.at(i, j) += b.at(i, j);
+  double* pu = u.data().data();
+  for (std::size_t e = 0; e < n * k; ++e) pu[e] += pb[e];
 
   // v = M_{i+1}^{-1} u
   linalg::MultiVector v(n, k);
-  apply_level_multi(level + 1, u, v);
+  apply_level(width, level + 1, u, v);
 
   // y = 1/2 (D^{-1} b + v + D^{-1} A v); u is dead, reuse it for A v.
   linalg::MultiVector& av = u;
   lvl.adjacency.multiply(v, av);
+  const double* pv = v.data().data();
+  double* py = y.data().data();
   for (std::size_t i = 0; i < n; ++i) {
     const double inv_d = lvl.inv_diagonal[i];
-    for (std::size_t j = 0; j < k; ++j)
-      y.at(i, j) = 0.5 * (inv_d * b.at(i, j) + v.at(i, j) + inv_d * av.at(i, j));
+#pragma GCC unroll 1
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t e = i * k + j;
+      py[e] = 0.5 * (inv_d * pb[e] + pv[e] + inv_d * pu[e]);
+    }
   }
   if (project_constant_) linalg::remove_mean_columns(y);
 }
 
-void InverseChain::apply_tail_multi(const linalg::MultiVector& b,
-                                    linalg::MultiVector& y) const {
+template <typename Width>
+void InverseChain::apply_tail(Width width, const linalg::MultiVector& b,
+                              linalg::MultiVector& y) const {
   const Level& lvl = levels_.back();
   const std::size_t n = b.rows();
-  const std::size_t k = b.cols();
+  const std::size_t k = width.value;
+  const double* pb = b.data().data();
+  // The tail computes M x as d o x - A x from the stored adjacency CSR and
+  // diagonal: one CSR traversal per sweep serves all k columns, which
+  // SDDMatrix::apply (column by column) would not.
   const Vector& d = lvl.matrix.diagonal();
 
-  if (tail_ == TailSmoother::kChebyshev) {
-    const linalg::BlockOperator op{
-        n, [&lvl, &d](const linalg::MultiVector& in, linalg::MultiVector& out) {
-          lvl.adjacency.multiply(in, out);
-          for (std::size_t i = 0; i < in.rows(); ++i) {
-            const double di = d[i];
-            for (std::size_t j = 0; j < in.cols(); ++j)
-              out.at(i, j) = di * in.at(i, j) - out.at(i, j);
-          }
-        }};
-    linalg::MultiVector x(n, k, 0.0);
-    linalg::ChebyshevOptions copt;
-    copt.lambda_min = tail_lambda_min_;
-    copt.lambda_max = tail_lambda_max_;
-    copt.iterations = chebyshev_steps_;
-    copt.project_constant = project_constant_;
-    linalg::chebyshev_solve(op, b, x, copt);
-    if (project_constant_) linalg::remove_mean_columns(x);
-    linalg::copy(x.data(), y.data());
-    return;
-  }
-
-  // Damped Jacobi, blocked: one adjacency traversal per sweep serves all k
-  // columns; the per-entry update replicates apply_tail's expression exactly.
+  // Damped Jacobi on M x = b starting from x = D^{-1} b:
+  //   x <- x + D^{-1}(b - M x)
   linalg::MultiVector x(n, k), ax(n, k);
+  double* px = x.data().data();
+  const double* pax = ax.data().data();
   for (std::size_t i = 0; i < n; ++i) {
     const double inv_d = lvl.inv_diagonal[i];
-    for (std::size_t j = 0; j < k; ++j) x.at(i, j) = inv_d * b.at(i, j);
+#pragma GCC unroll 1
+    for (std::size_t j = 0; j < k; ++j) px[i * k + j] = inv_d * pb[i * k + j];
   }
   for (std::size_t step = 0; step < jacobi_steps_; ++step) {
     lvl.adjacency.multiply(x, ax);
     for (std::size_t i = 0; i < n; ++i) {
       const double inv_d = lvl.inv_diagonal[i];
       const double di = d[i];
-      for (std::size_t j = 0; j < k; ++j)
-        x.at(i, j) += inv_d * (b.at(i, j) - (di * x.at(i, j) - ax.at(i, j)));
+#pragma GCC unroll 1
+      for (std::size_t j = 0; j < k; ++j) {
+        const std::size_t e = i * k + j;
+        px[e] += inv_d * (pb[e] - (di * px[e] - pax[e]));
+      }
     }
   }
   if (project_constant_) linalg::remove_mean_columns(x);
@@ -299,7 +211,10 @@ void InverseChain::apply_tail_multi(const linalg::MultiVector& b,
 void InverseChain::apply(std::span<const double> b, std::span<double> y) const {
   SPAR_CHECK(b.size() == dimension() && y.size() == dimension(),
              "InverseChain::apply: size mismatch");
-  apply_level(0, b, y);
+  linalg::MultiVector b1(b.size(), 1), y1(b.size(), 1);
+  linalg::copy(b, b1.data());
+  apply_level(linalg::FixedWidth<1>{}, 0, b1, y1);
+  linalg::copy(y1.data(), y);
 }
 
 void InverseChain::apply(const linalg::MultiVector& b, linalg::MultiVector& y) const {
@@ -307,13 +222,7 @@ void InverseChain::apply(const linalg::MultiVector& b, linalg::MultiVector& y) c
                  b.cols() == y.cols(),
              "InverseChain::apply: block shape mismatch");
   if (b.cols() == 0) return;
-  apply_level_multi(0, b, y);
-}
-
-linalg::LinearOperator InverseChain::as_operator() const {
-  return {dimension(), [this](std::span<const double> b, std::span<double> y) {
-            apply(b, y);
-          }};
+  linalg::with_width(b.cols(), [&](auto width) { apply_level(width, 0, b, y); });
 }
 
 linalg::BlockOperator InverseChain::as_block_operator() const {

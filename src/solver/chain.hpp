@@ -11,7 +11,9 @@
 // recursively; the last level is solved with damped Jacobi. The resulting
 // operator is symmetric PSD, so it serves directly as a PCG preconditioner
 // (how bench_solver uses it), and as a standalone solver via iterative
-// refinement.
+// refinement. The level and tail sweeps are written once over the block
+// width: applying the chain to one vector is the width-1 case of applying it
+// to a block.
 //
 // The squaring step is where fill-in explodes (A D^{-1} A connects every
 // 2-hop pair). ChainOptions::squaring picks how each level absorbs it:
@@ -30,14 +32,6 @@
 #include "sparsify/sparsify.hpp"
 
 namespace spar::solver {
-
-/// Smoother used on the last chain level (where gamma is small enough that a
-/// few sweeps solve the remaining system).
-enum class TailSmoother {
-  kJacobi,     ///< damped Jacobi sweeps (no setup, gamma-rate convergence)
-  kChebyshev,  ///< Chebyshev semi-iteration with Lanczos-estimated bounds;
-               ///< sqrt(kappa)-rate, no inner products (PRAM-friendlier)
-};
 
 /// How each level's square A D^{-1} A is produced (see solver/squaring.hpp).
 enum class SquaringMode {
@@ -66,15 +60,15 @@ struct ChainOptions {
   /// Sparsify a level only when its graph part has more than
   /// edge_factor * n edges (the "threshold of applicability" m').
   double edge_factor = 4.0;
-  /// Hard cap on chain depth (singular Laplacians terminate here: their
-  /// gamma never decays).
+  /// Hard cap on chain depth, >= 1 (singular Laplacians terminate here:
+  /// their gamma never decays).
   std::size_t max_levels = 24;
   /// Stop when adjacency dominance gamma = max_i rowsum(A)/D drops below
   /// this (Jacobi converges at rate gamma on the last level).
   double gamma_stop = 0.25;
-  TailSmoother tail = TailSmoother::kJacobi;  ///< last-level smoother choice
-  std::size_t last_level_jacobi_steps = 12;   ///< sweeps for TailSmoother::kJacobi
-  std::size_t last_level_chebyshev_steps = 16;  ///< steps for kChebyshev
+  /// Damped Jacobi sweeps that solve the last level (where gamma is small
+  /// enough that a few sweeps handle the remaining system).
+  std::size_t last_level_jacobi_steps = 12;
   std::uint64_t seed = 99;  ///< seeds the per-level sparsifier coins
   /// How each level's square is produced (dense SpGEMM vs streamed tower).
   SquaringMode squaring = SquaringMode::kAuto;
@@ -118,7 +112,8 @@ struct ChainLevelInfo {
 class InverseChain {
  public:
   /// Builds the chain for `m`. Levels stop at gamma_stop, max_levels, or when
-  /// squaring stops changing anything.
+  /// squaring stops changing anything. Throws spar::Error when
+  /// options.max_levels is 0.
   InverseChain(SDDMatrix m, const ChainOptions& options);
 
   /// Number of stored levels (>= 1).
@@ -132,19 +127,17 @@ class InverseChain {
   /// inverse chain" in Theorem 6's work bound).
   std::size_t total_nnz() const;
 
-  /// y ~ M^{-1} b: one top-down chain application (symmetric PSD operator).
+  /// y ~ M^{-1} b: one top-down chain application (symmetric PSD operator);
+  /// the width-1 case of the blocked apply below.
   void apply(std::span<const double> b, std::span<double> y) const;
 
   /// Blocked chain application: Y.column(j) ~ M^{-1} B.column(j) for every
   /// column, with each level's CSR structure traversed once for the whole
-  /// block (the batched-solve hot path). Per column the arithmetic replicates
-  /// the single-vector apply() exactly, so results are bit-identical to
-  /// applying the chain to each column alone. Scratch is O(levels * n * k)
-  /// doubles; batch very wide blocks at the call site if memory matters.
+  /// block (the batched-solve hot path). Per column the arithmetic is that of
+  /// a width-1 apply, so results are bit-identical to applying the chain to
+  /// each column alone. Scratch is O(levels * n * k) doubles; batch very
+  /// wide blocks at the call site if memory matters.
   void apply(const linalg::MultiVector& b, linalg::MultiVector& y) const;
-
-  /// The chain as a LinearOperator (for preconditioned_cg).
-  linalg::LinearOperator as_operator() const;
 
   /// The chain as a BlockOperator (for blocked_pcg / solve_sdd_multi).
   linalg::BlockOperator as_block_operator() const;
@@ -156,20 +149,15 @@ class InverseChain {
     linalg::CSRMatrix adjacency;
   };
 
-  void apply_level(std::size_t level, std::span<const double> b,
-                   std::span<double> y) const;
-  void apply_tail(std::span<const double> b, std::span<double> y) const;
-  void apply_level_multi(std::size_t level, const linalg::MultiVector& b,
-                         linalg::MultiVector& y) const;
-  void apply_tail_multi(const linalg::MultiVector& b, linalg::MultiVector& y) const;
+  template <typename Width>
+  void apply_level(Width width, std::size_t level, const linalg::MultiVector& b,
+                   linalg::MultiVector& y) const;
+  template <typename Width>
+  void apply_tail(Width width, const linalg::MultiVector& b, linalg::MultiVector& y) const;
 
   std::vector<Level> levels_;
   std::vector<ChainLevelInfo> info_;
-  TailSmoother tail_;
   std::size_t jacobi_steps_;
-  std::size_t chebyshev_steps_;
-  double tail_lambda_min_ = 0.0;
-  double tail_lambda_max_ = 0.0;
   bool project_constant_;
 };
 

@@ -29,16 +29,16 @@ SolveReport solve_sdd(const SDDMatrix& m, std::span<const double> b,
 SolveReport solve_sdd(const SDDMatrix& m, const InverseChain& chain,
                       std::span<const double> b, const SolveOptions& options) {
   SPAR_CHECK(b.size() == m.dimension(), "solve_sdd: rhs size mismatch");
-  Vector x(m.dimension(), 0.0);
-  linalg::CGOptions cg;
-  cg.tolerance = options.tolerance;
-  cg.max_iterations = options.max_iterations;
-  cg.project_constant = m.is_singular();
-  const auto report =
-      linalg::preconditioned_cg(m.as_operator(), chain.as_operator(), b, x, cg);
-  SolveReport out = finish(std::move(x), report);
-  out.chain_levels = chain.num_levels();
-  out.chain_total_nnz = chain.total_nnz();
+  linalg::MultiVector rhs(b.size(), 1);
+  linalg::copy(b, rhs.data());
+  const MultiSolveReport multi = solve_sdd_multi(m, chain, rhs, options);
+  SolveReport out;
+  out.solution = multi.solutions.column_copy(0);
+  out.iterations = multi.columns[0].iterations;
+  out.relative_residual = multi.columns[0].relative_residual;
+  out.converged = multi.columns[0].converged;
+  out.chain_levels = multi.chain_levels;
+  out.chain_total_nnz = multi.chain_total_nnz;
   return out;
 }
 
@@ -61,23 +61,6 @@ MultiSolveReport solve_sdd_multi(const SDDMatrix& m, const InverseChain& chain,
   cg.tolerance = options.tolerance;
   cg.max_iterations = options.max_iterations;
   cg.project_constant = m.is_singular();
-  if (b.cols() == 1) {
-    // k = 1 fast path: a single-column block gains nothing from the blocked
-    // kernels but pays their row-interleaved scratch and masking overhead
-    // (E13 measured the blocked path SLOWER at k = 1). Route through the
-    // scalar solve_sdd machinery instead; the blocked path's per-column
-    // bit-identity contract makes this a pure speedup -- the solution and
-    // per-column stats are the ones the blocked path would have produced.
-    const linalg::Vector rhs = b.column_copy(0);
-    linalg::Vector x(m.dimension(), 0.0);
-    const auto scalar =
-        linalg::preconditioned_cg(m.as_operator(), chain.as_operator(), rhs, x, cg);
-    report.solutions.set_column(0, x);
-    report.columns = {{scalar.iterations, scalar.relative_residual, scalar.converged}};
-    report.iterations = scalar.iterations;
-    report.block_applies = scalar.matvec_count;
-    return report;
-  }
   const auto block = linalg::blocked_pcg(m.as_block_operator(),
                                          chain.as_block_operator(), b,
                                          report.solutions, cg);

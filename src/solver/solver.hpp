@@ -64,11 +64,9 @@ SolveReport solve_sdd(const SDDMatrix& m, const InverseChain& chain,
 /// with ONE chain built once and applied to the whole block per iteration
 /// (each level's CSR is traversed once for all columns). Column j's solution
 /// is bit-identical to solve_sdd(m, b.column(j)) with the same options --
-/// batching changes throughput, never results. A single-column block (k = 1)
-/// dispatches through the scalar solve_sdd path, which is faster there (the
-/// blocked kernels only pay off from k >= 2); by the bit-identity contract
-/// the answer is unchanged. Peak scratch is O(chain_levels * n * k) doubles;
-/// split very wide blocks at the call site.
+/// batching changes throughput, never results; solve_sdd is this call on a
+/// width-1 block. Peak scratch is O(chain_levels * n * k) doubles; split
+/// very wide blocks at the call site.
 MultiSolveReport solve_sdd_multi(const SDDMatrix& m, const linalg::MultiVector& b,
                                  const SolveOptions& options = {});
 

@@ -170,7 +170,7 @@ TEST(ParallelDeterminism, DistributedSampleReproducesSharedMemorySample) {
 }
 
 TEST(ParallelDeterminism, DotProductBitIdenticalAcrossThreadCounts) {
-  // The linalg reductions feed CG/Chebyshev; their chunked deterministic
+  // The linalg reductions feed CG; their chunked deterministic
   // summation keeps whole solver trajectories reproducible across machines.
   const std::size_t n = 1 << 17;  // above the parallel threshold
   std::vector<double> a(n), b(n);

@@ -46,15 +46,6 @@ TEST(CSRMatrix, MultiplyMatchesDenseComputation) {
   EXPECT_DOUBLE_EQ(y[2], 23.0);
 }
 
-TEST(CSRMatrix, MultiplyAddWithBeta) {
-  const CSRMatrix m = small_matrix();
-  Vector y = {1.0, 1.0, 1.0};
-  m.multiply_add(Vector{1.0, 2.0, 3.0}, y, 2.0);
-  EXPECT_DOUBLE_EQ(y[0], 7.0);
-  EXPECT_DOUBLE_EQ(y[1], 20.0);
-  EXPECT_DOUBLE_EQ(y[2], 25.0);
-}
-
 TEST(CSRMatrix, MultiplySizeMismatchThrows) {
   const CSRMatrix m = small_matrix();
   Vector y(3);

@@ -1,6 +1,6 @@
 // MultiVector and the blocked kernels built on it: row-interleaved layout,
 // fused per-column reductions, blocked CSR SpMM, blocked (P)CG with
-// convergence masking, blocked Chebyshev. The load-bearing property
+// convergence masking. The load-bearing property
 // throughout is BIT-identity: a blocked operation's column j must equal the
 // corresponding single-vector operation on that column exactly (not
 // approximately), for any thread count -- that is the contract
@@ -13,7 +13,6 @@
 
 #include "graph/generators.hpp"
 #include "linalg/cg.hpp"
-#include "linalg/chebyshev.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/laplacian.hpp"
 #include "support/error.hpp"
@@ -79,25 +78,31 @@ TEST(MultiVector, FromColumnsRejectsRaggedInput) {
   EXPECT_THROW(MultiVector::from_columns(cols), spar::Error);
 }
 
+/// Block widths under test: every width the kernels instantiate (1, 2, 16)
+/// and the run-time fallback around them (3, 4, 5, 17, 37).
+constexpr std::size_t kWidths[] = {1, 2, 3, 4, 5, 16, 17, 37};
+
 TEST(MultiVector, FusedReductionsMatchSingleVectorOps) {
   // Sizes straddling the parallel threshold of the vector_ops primitives:
   // the fused kernels must match bitwise on both sides of it.
   for (const std::size_t n : {3000u, 20000u}) {
-    const MultiVector a = random_block(n, 4, 3), b = random_block(n, 4, 4);
-    const Vector dots = column_dots(a, b);
-    const Vector norms = column_norms(a);
-    const Vector means = column_means(a);
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(dots[j], dot(a.column_copy(j), b.column_copy(j))) << n;
-      EXPECT_EQ(norms[j], norm2(a.column_copy(j))) << n;
-      EXPECT_EQ(means[j], mean(a.column_copy(j))) << n;
-    }
-    MultiVector c = a;
-    remove_mean_columns(c);
-    for (std::size_t j = 0; j < 4; ++j) {
-      Vector single = a.column_copy(j);
-      remove_mean(single);
-      EXPECT_TRUE(bits_equal(c.column_copy(j), single)) << n;
+    for (const std::size_t k : kWidths) {
+      const MultiVector a = random_block(n, k, 3), b = random_block(n, k, 4);
+      const Vector dots = column_dots(a, b);
+      const Vector norms = column_norms(a);
+      const Vector means = column_means(a);
+      for (std::size_t j = 0; j < k; ++j) {
+        EXPECT_EQ(dots[j], dot(a.column_copy(j), b.column_copy(j))) << n << " k " << k;
+        EXPECT_EQ(norms[j], norm2(a.column_copy(j))) << n << " k " << k;
+        EXPECT_EQ(means[j], mean(a.column_copy(j))) << n << " k " << k;
+      }
+      MultiVector c = a;
+      remove_mean_columns(c);
+      for (std::size_t j = 0; j < k; ++j) {
+        Vector single = a.column_copy(j);
+        remove_mean(single);
+        EXPECT_TRUE(bits_equal(c.column_copy(j), single)) << n << " k " << k;
+      }
     }
   }
 }
@@ -129,20 +134,22 @@ TEST(MultiVector, ColumnAxpyHonorsMask) {
 }
 
 TEST(BlockedSpmv, BitIdenticalToPerColumnMultiply) {
-  // Large enough to cross the kernel's parallel threshold; width 37 makes
-  // the column tiling take the partial-tile path too.
+  // Large enough to cross the kernel's parallel threshold; the fallback
+  // widths make the column tiling take its partial-tile paths too.
   const graph::Graph g = graph::connected_erdos_renyi(800, 0.05, 11);
   const CSRMatrix l = laplacian_matrix(g);
-  const MultiVector x = random_block(l.cols(), 37, 21);
-  for (int threads : {1, 2, 4}) {
-    support::par::ThreadLimit limit(threads);
-    MultiVector y(l.rows(), x.cols());
-    l.multiply(x, y);
-    for (std::size_t j = 0; j < x.cols(); ++j) {
-      Vector single(l.rows());
-      l.multiply(x.column_copy(j), single);
-      EXPECT_TRUE(bits_equal(y.column_copy(j), single)) << "col " << j
-                                                        << " threads " << threads;
+  for (const std::size_t k : kWidths) {
+    const MultiVector x = random_block(l.cols(), k, 21);
+    for (int threads : {1, 2, 4}) {
+      support::par::ThreadLimit limit(threads);
+      MultiVector y(l.rows(), x.cols());
+      l.multiply(x, y);
+      for (std::size_t j = 0; j < x.cols(); ++j) {
+        Vector single(l.rows());
+        l.multiply(x.column_copy(j), single);
+        EXPECT_TRUE(bits_equal(y.column_copy(j), single))
+            << "k " << k << " col " << j << " threads " << threads;
+      }
     }
   }
 }
@@ -281,29 +288,6 @@ TEST(BlockedCg, EmptyBlockAndShapeChecks) {
   EXPECT_FALSE(report.all_converged());  // vacuously unconverged by contract
   MultiVector bad_b(sys.matrix.rows() + 1, 2), x(sys.matrix.rows(), 2);
   EXPECT_THROW(blocked_conjugate_gradient(sys.block_op, bad_b, x, {}), spar::Error);
-}
-
-TEST(BlockedChebyshev, BitIdenticalToSingleRhs) {
-  const graph::Graph g = graph::grid2d(9, 9);
-  TestSystem sys(g, 0.5);
-  const std::size_t n = sys.matrix.rows();
-  ChebyshevOptions opt;
-  opt.lambda_min = 0.5;  // shift guarantees lambda_min >= 0.5
-  opt.lambda_max = 8.5;  // Laplacian degree bound + shift
-  opt.iterations = 40;
-  std::vector<Vector> cols = {random_vector(n, 51), Vector(n, 0.0),
-                              random_vector(n, 52)};
-  const MultiVector b = MultiVector::from_columns(cols);
-  MultiVector x(n, b.cols(), 0.0);
-  const auto reports = chebyshev_solve(sys.block_op, b, x, opt);
-  ASSERT_EQ(reports.size(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    Vector xs(n, 0.0);
-    const auto single = chebyshev_solve(sys.op, b.column_copy(j), xs, opt);
-    EXPECT_TRUE(bits_equal(x.column_copy(j), xs)) << "col " << j;
-    EXPECT_EQ(reports[j].relative_residual, single.relative_residual);
-  }
-  for (double v : x.column_copy(1)) EXPECT_EQ(v, 0.0);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "graph/generators.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace spar::solver {
@@ -26,6 +28,18 @@ TEST(InverseChain, TerminatesWithinMaxLevels) {
   const InverseChain chain(grounded_grid(10), opt);
   EXPECT_GE(chain.num_levels(), 1u);
   EXPECT_LE(chain.num_levels(), 6u);
+}
+
+TEST(InverseChain, RejectsZeroMaxLevels) {
+  // A chain with no level has nothing to apply; the error names the option.
+  ChainOptions opt;
+  opt.max_levels = 0;
+  try {
+    const InverseChain chain(grounded_grid(4), opt);
+    FAIL() << "max_levels = 0 was accepted";
+  } catch (const spar::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("max_levels"), std::string::npos) << e.what();
+  }
 }
 
 TEST(InverseChain, GammaDecreasesAlongChain) {

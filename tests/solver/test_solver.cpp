@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "graph/generators.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace spar::solver {
@@ -153,6 +156,95 @@ TEST(Solvers, AgreeOnSolution) {
     EXPECT_NEAR(a.solution[i], c.solution[i], 1e-6);
     EXPECT_NEAR(a.solution[i], d.solution[i], 1e-6);
   }
+}
+
+// Solve goldens: FNV-1a over each entry point's iteration count and solution
+// bits, recorded before the solver kernels became one width-templated path
+// (a single right-hand side is a width-1 block). They pin the exact output of
+// every public single-RHS solve, at every thread count, so a kernel rewrite
+// that moves one bit -- a different summation order, a different chunking --
+// fails here. Re-record via BUILDING.md ("Re-baselining") only after a
+// deliberate algorithm change.
+std::uint64_t solve_hash(const SolveReport& report) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h ^= x;
+    h *= 1099511628211ULL;
+  };
+  mix(report.iterations);
+  for (const double v : report.solution) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    mix(bits);
+  }
+  return h;
+}
+
+/// Runs `solve` at 1, 2 and 4 threads and demands the golden every time.
+template <typename Solve>
+void expect_golden(std::uint64_t golden, std::size_t iterations, Solve&& solve) {
+  for (const int threads : {1, 2, 4}) {
+    support::par::ThreadLimit limit(threads);
+    const SolveReport report = solve();
+    EXPECT_TRUE(report.converged) << threads << " threads";
+    EXPECT_EQ(report.iterations, iterations) << threads << " threads";
+    EXPECT_EQ(solve_hash(report), golden)
+        << threads << " threads: 0x" << std::hex << solve_hash(report);
+  }
+}
+
+/// Grounded weighted grid: nonsingular (slack on every 17th vertex), weights
+/// within a factor e of each other.
+SDDMatrix slack_grid(graph::Vertex side, std::uint64_t seed) {
+  const Graph g = graph::randomize_weights(graph::grid2d(side, side), 0.5, seed);
+  Vector slack(g.num_vertices(), 0.0);
+  for (std::size_t i = 0; i < slack.size(); i += 17) slack[i] = 0.25;
+  return SDDMatrix(g, std::move(slack));
+}
+
+TEST(SolveGolden, SolveSddSingularWeightedGrid) {
+  const SDDMatrix m(graph::randomize_weights(graph::grid2d(24, 24), 0.5, 3));
+  SolveOptions opt;
+  opt.chain.max_levels = 6;
+  const InverseChain chain(m, opt.chain);
+  const Vector b = random_rhs(m.dimension(), 41, true);
+  expect_golden(0x24ccb9ef617771fbULL, 10, [&] { return solve_sdd(m, chain, b, opt); });
+}
+
+TEST(SolveGolden, SolveSddNonsingularWithSlack) {
+  const Graph g = graph::randomize_weights(
+      graph::connected_erdos_renyi(300, 0.03, 13), 1.0, 13);
+  Vector slack(g.num_vertices(), 0.0);
+  for (std::size_t i = 0; i < slack.size(); i += 7) slack[i] = 0.1;
+  const SDDMatrix m(g, std::move(slack));
+  SolveOptions opt;
+  opt.chain.max_levels = 6;
+  const InverseChain chain(m, opt.chain);
+  const Vector b = random_rhs(m.dimension(), 43, false);
+  expect_golden(0xda78c8855c78c3c0ULL, 11, [&] { return solve_sdd(m, chain, b, opt); });
+}
+
+// n = 16900 crosses the 2^14 parallel threshold of the vector kernels.
+TEST(SolveGolden, SolveJacobiPcg) {
+  const SDDMatrix m = slack_grid(130, 5);
+  const Vector b = random_rhs(m.dimension(), 47, false);
+  expect_golden(0xd496c60a76da804aULL, 215, [&] { return solve_jacobi_pcg(m, b); });
+}
+
+TEST(SolveGolden, SolveCg) {
+  const SDDMatrix m = slack_grid(130, 7);
+  const Vector b = random_rhs(m.dimension(), 53, false);
+  expect_golden(0x6f03bec5c26e785eULL, 232, [&] { return solve_cg(m, b); });
+}
+
+TEST(SolveGolden, SolveChainRefinement) {
+  const SDDMatrix m = slack_grid(16, 11);
+  SolveOptions opt;
+  opt.chain.max_levels = 12;
+  const InverseChain chain(m, opt.chain);
+  const Vector b = random_rhs(m.dimension(), 59, false);
+  expect_golden(0xaa3a2a86dfb9ca30ULL, 23,
+                [&] { return solve_chain_refinement(m, chain, b, opt); });
 }
 
 }  // namespace
