@@ -1,10 +1,15 @@
-// E9 (PRAM claims proxy): OpenMP strong scaling of the parallel kernels --
-// CSR construction, Baswana-Sen spanner, PARALLELSPARSIFY, SpMV.
+// E9 (PRAM claims proxy): strong scaling of the parallel kernels on the
+// TaskPool substrate -- CSR construction, Baswana-Sen spanner,
+// PARALLELSPARSIFY, SpMV -- plus the cost of dispatching one loop.
 //
 // The paper's parallel model is CRCW PRAM; work bounds are validated in
 // E1/E5 via operation counts. This bench reports wall-clock across thread
-// counts on this machine (a 1-core container only exercises the code paths;
-// on real multicore hardware the spanner and SpMV scale near-linearly).
+// counts on this machine. The dispatch columns time back-to-back
+// parallel_for calls over 1,600 doubles (the partition_grid vertex count,
+// where a dispatch costs about as much as the work) and over 20,000; a
+// WARNING line flags the default width losing to one thread at 20,000 (the
+// exit code does not change).
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -18,6 +23,27 @@
 
 using namespace spar;
 
+namespace {
+
+// Microseconds per back-to-back parallel_for over n doubles under the
+// current budget: the best of 5 batches, each sized to ~20 ms of serial work.
+double dispatch_us(std::int64_t n) {
+  std::vector<double> v(static_cast<std::size_t>(n), 1.0);
+  const int reps = static_cast<int>(std::max<std::int64_t>(200, 20'000'000 / n));
+  double best = 1e300;
+  for (int batch = 0; batch < 5; ++batch) {
+    support::Timer t;
+    for (int r = 0; r < reps; ++r)
+      support::par::parallel_for(0, n, [&](std::int64_t i) {
+        v[static_cast<std::size_t>(i)] = v[static_cast<std::size_t>(i)] * 0.5 + 1.0;
+      });
+    best = std::min(best, t.seconds() * 1e6 / reps);
+  }
+  return best;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const support::Options opt(argc, argv);
   const bool quick = opt.get_bool("quick", false);
@@ -30,14 +56,13 @@ int main(int argc, char** argv) {
   linalg::Vector x(g.num_vertices()), y(g.num_vertices());
   for (double& v : x) v = rng.normal();
 
-  std::vector<int> thread_counts = {1, 2, 4};
-  const int hw = support::par::hardware_threads();
   std::printf("parallel backend: %s\n", support::par::backend_description().c_str());
 
   support::Table table({"threads", "csr build ms", "spanner ms", "sparsify ms",
-                        "spmv x32 ms"});
-  for (const int threads : thread_counts) {
-    support::par::set_num_threads(threads);
+                        "spmv x32 ms", "for 1600 us", "for 20000 us"});
+  for (const int threads : {1, 2, 4}) {
+    const support::par::ThreadLimit limit(threads);
+    if (support::par::max_threads() < threads) continue;  // wider than the pool
 
     support::Timer t1;
     const graph::CSRGraph csr(g);
@@ -62,12 +87,23 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(threads), support::Table::cell(csr_ms),
                    support::Table::cell(spanner_ms),
                    support::Table::cell(sparsify_ms),
-                   support::Table::cell(spmv_ms)});
+                   support::Table::cell(spmv_ms), support::Table::cell(dispatch_us(1600)),
+                   support::Table::cell(dispatch_us(20000))});
     (void)ids;
     (void)sp;
   }
-  support::par::set_num_threads(hw);
-  table.print("E9: OpenMP strong scaling, er n=" + std::to_string(n));
+  table.print("E9: strong scaling on the TaskPool substrate, er n=" + std::to_string(n));
+
+  double one_thread_us;
+  {
+    const support::par::ThreadLimit one(1);
+    one_thread_us = dispatch_us(20000);
+  }
+  const double default_us = dispatch_us(20000);
+  if (default_us > one_thread_us)
+    std::printf("WARNING: parallel_for over 20000 doubles takes %.2f us at the default width "
+                "(%d threads) vs %.2f us on one thread\n",
+                default_us, support::par::max_threads(), one_thread_us);
   std::printf("\nDeterminism note: results are identical across thread counts "
               "(counter-based RNG streams), verified by the test suite.\n");
   return 0;

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # One-shot verify: configure + build + ctest (the tier-1 command).
 #
-#   scripts/check.sh [BUILD_TYPE] [OPENMP]
+#   scripts/check.sh [BUILD_TYPE]
 #
 #   BUILD_TYPE  Release (default) | Debug | RelWithDebInfo | Asan
 #               Asan = RelWithDebInfo with -fsanitize=address,undefined
 #               (the CI sanitizer job; arena/index refactors are exactly
 #               where ASan+UBSan pay off)
-#   OPENMP      ON (default) | OFF
 #
 # Also greps for test sources that exist on disk but are not registered in
 # any tests/**/CMakeLists.txt, so new files cannot be silently skipped.
@@ -16,7 +15,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build_type="${1:-Release}"
-openmp="${2:-ON}"
 sanitize=""
 case "$build_type" in
   Asan|asan|Sanitize|sanitize)
@@ -24,7 +22,7 @@ case "$build_type" in
     sanitize="address,undefined"
     ;;
 esac
-build_dir="build-check-${build_type,,}-omp${openmp,,}${sanitize:+-asan}"
+build_dir="build-check-${build_type,,}${sanitize:+-asan}"
 
 # Every tests/**/test_*.cpp must appear in its directory's CMakeLists.txt.
 missing=0
@@ -40,7 +38,6 @@ done < <(find tests -name 'test_*.cpp')
 
 cmake -B "$build_dir" -S . \
   -DCMAKE_BUILD_TYPE="$build_type" \
-  -DSPAR_ENABLE_OPENMP="$openmp" \
   -DSPAR_SANITIZE="$sanitize" \
   -DSPAR_WERROR=ON
 cmake --build "$build_dir" -j "$(nproc)"

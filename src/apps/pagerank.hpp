@@ -11,7 +11,7 @@
 // teleport t = 1/n; PERSONALIZED PageRank restricts t to a source set, which
 // localizes the stationary mass around those sources. Every step is one SpMV
 // on the existing CSRMatrix kernel plus chunk-ordered elementwise work, so
-// scores are bit-identical across thread counts and in the OpenMP-off build
+// scores are bit-identical across thread counts, ThreadLimit(1) included
 // (the PR 1/2 discipline; tests/apps/test_pagerank.cpp pins golden hashes).
 //
 // The iteration map is a contraction with factor d in l1, so the l1 change

@@ -24,7 +24,7 @@
 // counts by the solve_sdd_multi contract, the dense Rayleigh-Ritz work is
 // order-fixed, and the returned vector is sign-fixed (first entry of largest
 // magnitude made positive) -- so Fiedler vectors, values, and sweep cuts are
-// bit-identical at any thread count and in the OpenMP-off build
+// bit-identical at any thread count, ThreadLimit(1) included
 // (tests/apps/test_partition.cpp pins golden hashes).
 #pragma once
 

@@ -144,9 +144,9 @@ std::vector<detail::WorkerResult> run_loopback(std::size_t shards, Mode mode,
     return results;
   }
 
-  // WorkCounter slots are keyed by OpenMP thread id, which every plain
-  // std::thread shares; give each shard thread a private counter and fold
-  // the totals in after the join.
+  // WorkCounter slots are keyed by par::thread_id(), which is 0 on every
+  // plain std::thread outside a loop; give each shard thread a private
+  // counter and fold the totals in after the join.
   std::vector<support::WorkCounter> local_work(shards);
   std::exception_ptr first_error;
   std::mutex error_mutex;

@@ -24,14 +24,14 @@ void set_csr_build_path(CsrBuildPath policy) noexcept { g_build_path = policy; }
 CsrBuildPath csr_build_path() noexcept { return g_build_path; }
 
 bool csr_parallel_build_enabled(std::size_t m) noexcept {
-  if (!par::openmp_enabled() || m <= 1) return false;
+  if (m <= 1) return false;
   switch (g_build_path) {
     case CsrBuildPath::kSerial: return false;
     case CsrBuildPath::kParallel: return true;
     case CsrBuildPath::kAuto: break;
   }
-  // An OMP_NUM_THREADS above the core count is oversubscription, not
-  // parallelism: gate on the smaller of the budget and the hardware.
+  // A budget above the core count (a pool wider than the machine) is
+  // oversubscription, not parallelism: gate on the smaller of the two.
   const int threads = std::min(par::max_threads(), par::hardware_threads());
   return threads > 1 && m >= kMinEdgesPerThread * static_cast<std::size_t>(threads);
 }

@@ -20,7 +20,7 @@ namespace spar::graph {
 
 /// Scatter-path policy for CSRGraph::rebuild. kAuto (the default) picks the
 /// atomic-scatter parallel build only when it can win: enough edges per
-/// effective thread (min of the OpenMP budget and the hardware's cores) to
+/// effective thread (min of the thread budget and the hardware's cores) to
 /// amortize the atomics. On a single core, or for small m, the serial path is
 /// ~2.5x faster than paying for atomics nobody parallelizes (BENCH_pr2 /
 /// BENCH_pr3 record the crossover). The forced modes exist for tests and the

@@ -1,5 +1,5 @@
-// General sparse matrix in compressed sparse row form, with OpenMP SpMV and
-// Gustavson SpGEMM. This is the algebraic substrate of the Peng-Spielman
+// General sparse matrix in compressed sparse row form, with row-parallel SpMV
+// and Gustavson SpGEMM. This is the algebraic substrate of the Peng-Spielman
 // solver (forming A * D^{-1} * A) and of the Laplacian operators.
 #pragma once
 
@@ -52,7 +52,7 @@ class CSRMatrix {
   /// bit-identical to multiplying that column alone.
   void multiply(const MultiVector& x, MultiVector& y) const;
 
-  /// C = A * B (Gustavson; OpenMP over rows of A).
+  /// C = A * B (Gustavson; parallel over rows of A).
   CSRMatrix multiply(const CSRMatrix& other) const;
 
   /// Row slab of the product: C = A[row_begin, row_end) * B, with

@@ -18,7 +18,7 @@ double dot(std::span<const double> a, std::span<const double> b) {
   SPAR_DASSERT(a.size() == b.size());
   const auto n = static_cast<std::int64_t>(a.size());
   // parallel_reduce chunks identically for every thread count, so dot() is
-  // bit-deterministic across 1..N threads (the raw OpenMP reduction was not).
+  // bit-deterministic across 1..N threads (a per-thread reduction is not).
   return par::parallel_sum(
       0, n, [&](std::int64_t i) { return a[i] * b[i]; },
       {.enable = n >= kParThreshold});

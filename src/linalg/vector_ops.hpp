@@ -1,5 +1,5 @@
-// Dense vector kernels (OpenMP). These are the building blocks of the
-// iterative solvers; all take std::span so callers keep ownership.
+// Dense vector kernels (parallel loops). These are the building blocks of
+// the iterative solvers; all take std::span so callers keep ownership.
 #pragma once
 
 #include <span>

@@ -264,6 +264,7 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(opt.get_int("requests", quick ? 48 : 200));
   const double tolerance = opt.get_double("tolerance", 1e-8);
   const bool verify = !opt.get_bool("no-verify", false);
+  const auto tcp_port = static_cast<std::uint16_t>(opt.get_int_in("tcp-port", 0, 0, 65535));
 
   // Local twin of the server-side graph: the oracle and the RHS shapes.
   const graph::Graph g = spec.rfind("gen:", 0) == 0 ? graph::generate_spec(spec)
@@ -274,10 +275,8 @@ int run(int argc, char** argv) {
 
   // --tcp-port connects over loopback TCP (matching solver_server
   // --tcp-port); the default stays the UNIX socket path.
-  Socket sock = opt.has("tcp-port")
-                    ? server::connect_tcp(static_cast<std::uint16_t>(
-                          opt.get_int("tcp-port", 0)))
-                    : server::connect_unix(socket_path);
+  Socket sock = opt.has("tcp-port") ? server::connect_tcp(tcp_port)
+                                   : server::connect_unix(socket_path);
 
   // Register the graph (idempotent: replaces any previous binding of name).
   {

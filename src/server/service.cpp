@@ -147,9 +147,9 @@ bool SolverService::next_batch(Batch& out) {
 void SolverService::dispatcher_main() {
   Batch batch;
   while (next_batch(batch)) {
-    // Pool workers keep the pool "current", so the blocked solve's parallel
-    // loops run on the same workers -- and the dispatcher is immediately
-    // free to form the next batch while this one solves.
+    // A loop started on a pool worker runs on that pool, so the blocked
+    // solve's parallel loops use the same workers -- and the dispatcher is
+    // immediately free to form the next batch while this one solves.
     pool_.submit([this, b = std::move(batch)]() mutable { execute(std::move(b)); });
     batch = Batch();
   }
@@ -208,10 +208,10 @@ void SolverService::execute(Batch batch) {
     finish_all("unknown error in batch execution");
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_;
-  }
+  // Notify under the lock: once in_flight_ reaches 0, shutdown() may return
+  // and the service's condition variables be destroyed.
+  std::lock_guard<std::mutex> lock(mu_);
+  --in_flight_;
   drained_cv_.notify_all();
   // A freed worker may let a deadline-expired batch close (see next_batch).
   queue_cv_.notify_all();

@@ -21,10 +21,10 @@
 // bytes. The load generator asserts exactly this end to end.
 //
 // Execution: batches are dispatched onto the service's persistent TaskPool
-// (support/task_pool.hpp). Pool workers are "current" on the pool, so the
-// blocked kernels' parallel_for calls nest into the same workers -- no
-// oversubscription, and chunk-deterministic results (identical across
-// backends) by the substrate's contract.
+// (support/task_pool.hpp). A loop started on a pool worker runs on that
+// pool, so the blocked kernels' parallel_for calls nest into the same
+// workers -- no oversubscription, and chunk-deterministic results
+// (identical across thread counts) by the substrate's contract.
 #pragma once
 
 #include <chrono>

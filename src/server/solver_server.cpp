@@ -7,7 +7,7 @@
 //
 //   solver_server --socket=/tmp/spar.sock
 //     [--max-batch=16] [--deadline-us=2000] [--no-batching]
-//     [--chain-memory-budget=BYTES] [--threads=N]
+//     [--chain-memory-budget=BYTES] [--threads=N (0..256)]
 //     [--tolerance=1e-8] [--graph=name=gen:grid:64x64 ...]
 //     [--tcp-port=P [--port-file=PATH]]
 //
@@ -44,6 +44,10 @@ using server::MsgType;
 using server::PayloadReader;
 using server::PayloadWriter;
 using server::Socket;
+
+// --threads cap: a pool of a few hundred executors is far past any useful
+// width, and each one is an OS thread started before the first request.
+constexpr std::int64_t kMaxThreads = 256;
 
 graph::Graph load_spec(const std::string& spec) {
   if (spec.rfind("gen:", 0) == 0) return graph::generate_spec(spec);
@@ -202,7 +206,10 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(opt.get_int("max-iterations", 20000));
   service_opt.registry.memory_budget_bytes =
       static_cast<std::size_t>(opt.get_int("chain-memory-budget", 0));
-  service_opt.threads = static_cast<int>(opt.get_int("threads", 0));
+  // Range checks come before any thread starts or socket binds.
+  service_opt.threads = static_cast<int>(opt.get_int_in("threads", 0, 0, kMaxThreads));
+  const bool use_tcp = opt.has("tcp-port");
+  const auto tcp_port = static_cast<std::uint16_t>(opt.get_int_in("tcp-port", 0, 0, 65535));
 
   server::SolverService service(service_opt);
 
@@ -225,11 +232,8 @@ int run(int argc, char** argv) {
 
   // Transport: UNIX socket by default, loopback TCP with --tcp-port (the
   // shared support/net listener both the service and src/dist use).
-  const bool use_tcp = opt.has("tcp-port");
-  server::Listener listener =
-      use_tcp ? server::Listener::tcp(
-                    static_cast<std::uint16_t>(opt.get_int("tcp-port", 0)))
-              : server::Listener::unix_domain(socket_path);
+  server::Listener listener = use_tcp ? server::Listener::tcp(tcp_port)
+                                      : server::Listener::unix_domain(socket_path);
   if (use_tcp && opt.has("port-file")) {
     // Written after listen() so a polling client never reads a dead port.
     const std::string port_file = opt.get("port-file", "");

@@ -80,7 +80,7 @@ struct StreamedSquareOptions {
 /// exact product is never resident, and the slack is computed from the exact
 /// (pre-sparsification) row sums so it equals square()'s slack up to
 /// summation-order roundoff. Deterministic for a fixed (seed, batch_edges,
-/// block_fill_edges) across thread counts and OpenMP on/off.
+/// block_fill_edges) across thread counts.
 SDDMatrix square_streamed(const SDDMatrix& m, const StreamedSquareOptions& options,
                           SquaringStats* stats = nullptr);
 

@@ -9,7 +9,7 @@
 //
 // The implementation is the synchronous two-phase clustering algorithm:
 // every iteration takes a snapshot of (cluster, sampled, edge-state), makes
-// all per-vertex decisions against the snapshot (OpenMP-parallel, one RNG
+// all per-vertex decisions against the snapshot (in parallel, one RNG
 // stream per cluster/vertex so results are independent of thread count), and
 // then commits them. This mirrors the CRCW PRAM scheme of Theorem 1 and is
 // the exact logic the distributed protocol in src/dist re-implements with

@@ -63,7 +63,7 @@
 // functions of (update sequence, options); every sparsify pass runs the
 // counter-based per-edge coins at seed mix64(base, pass index); hash
 // containers are used for lookup only, never iterated. Checkpoints are
-// bit-identical across thread counts and the OpenMP-off build (golden-hash
+// bit-identical across thread counts, ThreadLimit(1) included (golden-hash
 // tests in tests/sparsify/test_dynamic.cpp); against a from-scratch
 // parallel_sparsify oracle of the surviving edges they certify within the
 // same eps (tests/sparsify/test_dynamic_oracle.cpp). See DESIGN.md

@@ -52,8 +52,8 @@
 // Determinism: batch boundaries are a pure function of (source, batch_edges),
 // concatenation order is a pure function of the arrival sequence, and every
 // reduce pass runs the round pipeline's counter-based per-edge coins -- so
-// the final sparsifier is bit-identical for any thread count and for the
-// OpenMP-off build, for a fixed (seed, batch size).
+// the final sparsifier is bit-identical for any thread count, for a fixed
+// (seed, batch size).
 #pragma once
 
 #include <cstdint>

@@ -9,10 +9,10 @@
 //
 // Determinism: checksum_bytes folds per-chunk FNV-1a states in ascending
 // chunk order with chunk boundaries from default_grain -- a pure function of
-// the length -- so the checksum is identical for every thread count and for
-// the serial build. ChunkedHasher is the incremental mirror for payloads
-// that arrive in slices (streamed file reads, socket frames): same chunk
-// boundaries, same fold, bit-identical result.
+// the length -- so the checksum is identical for every thread count.
+// ChunkedHasher is the incremental mirror for payloads that arrive in slices
+// (streamed file reads, socket frames): same chunk boundaries, same fold,
+// bit-identical result.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +41,7 @@ inline std::uint64_t fnv1a(const unsigned char* p, std::size_t len,
 
 /// Chunked FNV-1a folded in chunk order. Chunk boundaries come from
 /// default_grain (a pure function of the length), so the value is identical
-/// for every thread count and for the serial build. The seed binds caller
+/// for every thread count. The seed binds caller
 /// context (header fields, previous arrays) into the digest.
 inline std::uint64_t checksum_bytes(const void* data, std::size_t len,
                                     std::uint64_t seed) {

@@ -139,7 +139,7 @@ Listener::Listener(Listener&& other) noexcept
 
 Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
-    shutdown();
+    if (fd_ >= 0) ::close(fd_);
     if (!path_.empty()) ::unlink(path_.c_str());
     fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
@@ -150,7 +150,7 @@ Listener& Listener::operator=(Listener&& other) noexcept {
 }
 
 Listener::~Listener() {
-  shutdown();
+  if (fd_ >= 0) ::close(fd_);
   if (!path_.empty()) ::unlink(path_.c_str());
 }
 
@@ -164,12 +164,9 @@ Socket Listener::accept() const {
 }
 
 void Listener::shutdown() {
-  if (fd_ >= 0) {
-    // shutdown() wakes a blocked accept(); close() releases the fd.
-    ::shutdown(fd_, SHUT_RDWR);
-    ::close(fd_);
-    fd_ = -1;
-  }
+  // Only reads fd_, so it may race a blocked accept() on another thread; the
+  // fd is closed by the destructor.
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Socket connect_unix(const std::string& path) {

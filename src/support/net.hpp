@@ -95,7 +95,8 @@ class Listener {
   /// Returns an invalid Socket if the listener was shut down concurrently.
   Socket accept() const;
 
-  /// Wakes any blocked accept() by closing the listening fd (idempotent).
+  /// Wakes any blocked accept(), now or later (idempotent; safe while another
+  /// thread is inside accept()). The fd itself closes with the Listener.
   void shutdown();
 
   bool valid() const { return fd_ >= 0; }

@@ -34,6 +34,15 @@ std::int64_t Options::get_int(const std::string& key, std::int64_t fallback) con
   return parse_number<std::int64_t>("--" + key, it->second);
 }
 
+std::int64_t Options::get_int_in(const std::string& key, std::int64_t fallback,
+                                 std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t value = get_int(key, fallback);
+  if (has(key) && (value < lo || value > hi))
+    throw Error("--" + key + " must be in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                "], got " + std::to_string(value));
+  return value;
+}
+
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;

@@ -34,6 +34,10 @@ class Options {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// get_int that rejects a value outside [lo, hi] with an Error naming the
+  /// option; the fallback is returned unchecked when the option is absent.
+  std::int64_t get_int_in(const std::string& key, std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

@@ -1,17 +1,16 @@
 // Shared-memory parallel execution substrate for libspar.
 //
-// Every parallel loop in the library goes through this header instead of raw
-// OpenMP pragmas, for three reasons:
-//  * one place controls the backend: a persistent TaskPool when one is
-//    current on the calling thread (support/task_pool.hpp -- the solver
-//    service's executors), else OpenMP when compiled with SPAR_HAS_OPENMP
-//    (the CMake option SPAR_ENABLE_OPENMP), a serial fallback otherwise --
-//    no other file includes <omp.h>;
+// Every parallel loop in the library goes through this header, for three
+// reasons:
+//  * one engine: every loop runs on a TaskPool (support/task_pool.hpp) --
+//    the pool the calling thread is a worker of (the solver service's
+//    executors), else one process-wide pool created on first use. A
+//    one-thread budget, a disabled loop (ParOpts::enable) or a single chunk
+//    runs inline on the caller;
 //  * determinism: parallel_reduce splits the range into chunks whose
 //    boundaries depend only on (range, grain) -- never on the thread count
-//    OR the backend -- and combines partials in chunk order, so
-//    floating-point results are bit-identical for 1 and N threads, under
-//    OpenMP or a TaskPool, and identical to the serial build;
+//    -- and combines partials in chunk order, so floating-point results are
+//    bit-identical for 1 and N threads, on any pool;
 //  * per-chunk RNG streams: chunk_rng(seed, chunk) gives randomized parallel
 //    algorithms an independent deterministic generator per chunk, the
 //    counter-based scheme the paper's CRCW PRAM algorithms assume.
@@ -26,70 +25,56 @@
 #include "support/rng.hpp"
 #include "support/task_pool.hpp"
 
-#if defined(SPAR_HAS_OPENMP)
-#include <omp.h>
-#endif
-
 namespace spar::support::par {
 
-/// True when the library was compiled against OpenMP.
-constexpr bool openmp_enabled() noexcept {
-#if defined(SPAR_HAS_OPENMP)
-  return true;
-#else
-  return false;
-#endif
+namespace detail {
+/// Threads the process-wide pool runs a loop on: OMP_NUM_THREADS when set
+/// (capped at the hardware count), else the hardware count. Read once.
+int process_width() noexcept;
+/// The process-wide pool (process_width() - 1 workers plus the caller),
+/// started on first use; null when process_width() is 1.
+TaskPool* process_pool();
+/// The pool loops started on this thread run on.
+inline TaskPool* loop_pool() {
+  return tls_home_pool != nullptr ? tls_home_pool : process_pool();
 }
+}  // namespace detail
 
-/// Current thread budget for parallel regions: the current TaskPool's width
-/// when one is scoped in, else OpenMP's budget (1 in the serial build).
+/// Thread budget for loops started on this thread: the pool's width
+/// (parallel_width() on a pool worker, process_width() elsewhere), capped by
+/// set_num_threads / ThreadLimit.
 inline int max_threads() noexcept {
-  if (const TaskPool* pool = TaskPool::current()) return pool->parallel_width();
-#if defined(SPAR_HAS_OPENMP)
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
+  const TaskPool* home = detail::tls_home_pool;
+  const int width = home != nullptr ? home->parallel_width() : detail::process_width();
+  const int budget = detail::tls_budget;
+  return budget > 0 && budget < width ? budget : width;
 }
 
-/// Number of hardware execution units OpenMP sees (1 in the serial build).
-inline int hardware_threads() noexcept {
-#if defined(SPAR_HAS_OPENMP)
-  return omp_get_num_procs();
-#else
-  return 1;
-#endif
-}
+/// Number of CPUs this process may run on (its affinity mask; >= 1).
+int hardware_threads() noexcept;
 
-/// Worker id inside a parallel region; 0 outside any region and in the
-/// serial build. Always < max_threads() at region entry. TaskPool workers
-/// report their pool worker id (1..workers), so per-thread accounting like
-/// WorkCounter stays race-free under pool execution too.
+/// Worker id inside a parallel loop body: 0 on the calling thread, 1.. on
+/// helpers; 0 outside any loop. A loop run inline keeps the id of the loop
+/// around it. Always < max_threads(). Ids are unique among the threads of
+/// one loop only: two loops running at once reuse them.
 inline int thread_id() noexcept {
-  if (detail::tls_home_pool != nullptr) return detail::tls_worker_id;
-#if defined(SPAR_HAS_OPENMP)
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
+  return std::min(detail::tls_thread_id, max_threads() - 1);
 }
 
-/// Set the thread budget (no-op in the serial build).
+/// Sets this thread's budget: loops it starts use at most
+/// min(threads, pool width) threads, and so do loops nested in their bodies.
 inline void set_num_threads(int threads) noexcept {
-#if defined(SPAR_HAS_OPENMP)
-  omp_set_num_threads(std::max(threads, 1));
-#else
-  (void)threads;
-#endif
+  detail::tls_budget = std::max(threads, 1);
 }
 
-/// RAII thread-count override for tests and benches that sweep thread counts.
+/// RAII thread-budget override for tests and benches that sweep thread
+/// counts; restores the budget it found.
 class ThreadLimit {
  public:
-  explicit ThreadLimit(int threads) : saved_(max_threads()) {
+  explicit ThreadLimit(int threads) : saved_(detail::tls_budget) {
     set_num_threads(threads);
   }
-  ~ThreadLimit() { set_num_threads(saved_); }
+  ~ThreadLimit() { detail::tls_budget = saved_; }
   ThreadLimit(const ThreadLimit&) = delete;
   ThreadLimit& operator=(const ThreadLimit&) = delete;
 
@@ -97,9 +82,9 @@ class ThreadLimit {
   int saved_;
 };
 
-/// Tuning knobs for a parallel loop. `enable == false` forces the serial
-/// path (the substrate equivalent of OpenMP's `if` clause); `grain` fixes the
-/// chunk size for chunked loops and reductions (0 = default_grain).
+/// Tuning knobs for a parallel loop. `enable == false` runs the loop inline
+/// on the caller (for loops too small to pay for waking workers); `grain`
+/// fixes the chunk size for chunked loops and reductions (0 = default_grain).
 struct ParOpts {
   std::int64_t grain = 0;
   bool enable = true;
@@ -122,33 +107,22 @@ inline Rng chunk_rng(std::uint64_t seed, std::uint64_t chunk) {
 }
 
 /// Element-parallel loop: f(i) for i in [begin, end). Iterations must be
-/// independent. Order of execution is unspecified in parallel builds.
+/// independent. Order of execution is unspecified.
 template <typename F>
 void parallel_for(std::int64_t begin, std::int64_t end, F&& f,
                   ParOpts opts = {}) {
   const std::int64_t n = end - begin;
-  if (n <= 0) return;
-  if (TaskPool* pool = TaskPool::current();
-      pool != nullptr && opts.enable && n > 1 && pool->parallel_width() > 1) {
-    // Pool path: chunk with the same boundary function as every other loop
-    // (iterations are independent, so the grouping is unobservable).
-    const std::int64_t grain = opts.grain > 0 ? opts.grain : default_grain(n);
-    const std::int64_t chunks = (n + grain - 1) / grain;
-    pool->run_indexed(chunks, [&](std::int64_t c, int /*worker*/) {
-      const std::int64_t cb = begin + c * grain;
-      const std::int64_t ce = std::min(end, cb + grain);
-      for (std::int64_t i = cb; i < ce; ++i) f(i);
+  const int threads = opts.enable && n > 1 ? max_threads() : 1;
+  if (threads > 1) {
+    // Four contiguous blocks per thread, claimed dynamically: a helper that
+    // starts late still takes a share. Iterations are independent, so the
+    // grouping is unobservable.
+    const std::int64_t blocks = std::min<std::int64_t>(n, 4 * threads);
+    detail::loop_pool()->run(blocks, threads, [&](std::int64_t b, int /*worker*/) {
+      for (std::int64_t i = begin + n * b / blocks; i < begin + n * (b + 1) / blocks; ++i) f(i);
     });
     return;
   }
-#if defined(SPAR_HAS_OPENMP)
-  if (opts.enable && n > 1 && max_threads() > 1) {
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = begin; i < end; ++i) f(i);
-    return;
-  }
-#endif
-  (void)opts;
   for (std::int64_t i = begin; i < end; ++i) f(i);
 }
 
@@ -169,21 +143,13 @@ void parallel_chunks(std::int64_t begin, std::int64_t end, F&& f,
     const std::int64_t ce = std::min(end, cb + grain);
     f(cb, ce, c, worker);
   };
-  if (TaskPool* pool = TaskPool::current();
-      pool != nullptr && opts.enable && chunks > 1 && pool->parallel_width() > 1) {
-    // Pool path: chunk boundaries are identical to the OpenMP path (they
-    // depend only on range and grain) and run_indexed's claim order matches
-    // schedule(dynamic, 1); worker ids stay < max_threads() = pool width.
-    pool->run_indexed(chunks, run_chunk);
+  const int threads = opts.enable && chunks > 1 ? max_threads() : 1;
+  if (threads > 1) {
+    // Chunks are claimed dynamically (load balance); worker ids stay below
+    // min(threads, chunks) <= max_threads().
+    detail::loop_pool()->run(chunks, threads, run_chunk);
     return;
   }
-#if defined(SPAR_HAS_OPENMP)
-  if (opts.enable && chunks > 1 && max_threads() > 1) {
-#pragma omp parallel for schedule(dynamic, 1)
-    for (std::int64_t c = 0; c < chunks; ++c) run_chunk(c, omp_get_thread_num());
-    return;
-  }
-#endif
   for (std::int64_t c = 0; c < chunks; ++c) run_chunk(c, 0);
 }
 
@@ -192,8 +158,8 @@ void parallel_chunks(std::int64_t begin, std::int64_t end, F&& f,
 /// `map(chunk_begin, chunk_end) -> T` folds one chunk serially;
 /// `combine(T, T) -> T` merges partials and is applied in ascending chunk
 /// order. Because the chunking is thread-count independent and the combine
-/// order is fixed, the result is bit-identical across thread counts and
-/// identical to the serial build -- unlike an OpenMP `reduction` clause.
+/// order is fixed, the result is bit-identical across thread counts --
+/// unlike a reduction that combines per-thread partials.
 template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::int64_t begin, std::int64_t end, T identity, Map&& map,
                   Combine&& combine, ParOpts opts = {}) {
@@ -223,8 +189,8 @@ T parallel_reduce(std::int64_t begin, std::int64_t end, T identity, Map&& map,
 /// `for (i) if (keep(i)) out[pos++] = f(i)` loop would produce. Two passes
 /// (per-chunk count, then exclusive prefix sum over chunks, then scatter)
 /// replace the serial append; because chunk boundaries depend only on
-/// (range, grain), every pos is identical for any thread count and for the
-/// serial build. Returns the number of kept elements.
+/// (range, grain), every pos is identical for any thread count. Returns the
+/// number of kept elements.
 ///
 /// keep(i) is evaluated twice per index (once per pass) and must be pure;
 /// emit(i, pos) must tolerate concurrent calls for distinct i (disjoint pos).
@@ -269,14 +235,15 @@ std::size_t parallel_compact(std::int64_t begin, std::int64_t end, Keep&& keep,
   return total;
 }
 
-/// Human-readable backend summary ("openmp, max_threads=8, ...") for benches.
+/// Human-readable backend summary ("task_pool, max_threads=4, ...") for benches.
 std::string backend_description();
 
 /// Lazily-constructed per-worker scratch for parallel_chunks bodies.
 ///
 /// Sized from max_threads() at construction (construct it AFTER any
-/// set_num_threads call, before the parallel region); each slot is created on
-/// the first chunk its worker runs. Safe because a worker id is owned by
+/// set_num_threads call, before the loop, on the thread that starts it);
+/// each slot is created on the first chunk its worker runs. Safe because a
+/// worker id is owned by
 /// exactly one thread for the duration of a parallel_chunks call. Reusing one
 /// WorkerLocal across several parallel_chunks calls is fine -- slots carry
 /// over, so make the scratch type's state self-invalidating (e.g. epoch

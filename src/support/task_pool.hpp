@@ -1,38 +1,30 @@
-// Persistent worker-thread pool: the async execution substrate behind the
-// solver service (src/server) and, when scoped in, behind the parallel_*
-// loops of support/parallel.hpp.
+// Persistent worker-thread pool: the one execution engine of libspar. Every
+// parallel_* loop of support/parallel.hpp runs on a TaskPool, and so do the
+// solver service's batch executors (src/server). A pool runs
 //
-// The fork-join substrate (parallel_for / parallel_chunks / parallel_reduce)
-// spins a parallel region up and down per call, which is fine inside one
-// algorithm but wrong for a long-lived service: admission, batching and
-// solves must run CONCURRENTLY, and a solve's internal parallel loops must
-// not fight the service's own threads for cores (oversubscription). TaskPool
-// is the promotion: a fixed set of worker threads that execute
+//  * detached tasks / futures (submit() / async()) from a mutex-guarded
+//    queue -- the service's batch executors -- and
+//  * fork-join groups (run() / run_indexed()), with the calling thread
+//    taking part -- the engine behind every parallel loop.
 //
-//  * detached tasks / futures (submit() / async()) -- the service's batch
-//    executors, and
-//  * indexed groups (run_indexed()) -- the engine the parallel_* loops
-//    dispatch through when a pool is current on the calling thread.
+// Fork-join takes no lock. Each worker owns a cache-line slot whose word
+// holds its state and, while it has one, its group's address. A caller hands
+// the group (a stack object whose atomic counter hands out indices) to idle
+// workers by compare-and-swap on their words and claims indices itself, so a
+// helper that starts late still takes what is left. At the join it takes
+// back helpers that have not started, so a late wake-up never delays it, and
+// waits only for helpers still running. Idle workers poll their own slot for
+// a short while after their last work, then sleep on it; a caller that
+// claims a sleeping worker wakes it.
 //
-// Scoping: TaskPool::Use pins a pool as "current" for the calling thread;
-// pool workers are permanently current on themselves. While a pool is
-// current, parallel_for / parallel_chunks / parallel_reduce (and everything
-// built on them) run their chunks on the pool instead of OpenMP. Chunk
-// boundaries and reduction combine order are computed exactly as before --
-// they depend only on (range, grain), never on who executes -- so every
-// deterministic contract of the substrate (bit-identical reductions, stable
-// edge ids, golden hashes) holds verbatim under pool execution.
-//
-// Deadlock freedom / no oversubscription: run_indexed is a claim loop -- the
-// calling thread HELPS, claiming indices of its own group alongside the
-// workers, and a nested run_indexed from inside a task claims its own
-// indices the same way. A thread therefore never blocks while its group has
-// unclaimed work, nesting cannot deadlock, and the thread count in flight
-// never exceeds workers() + external callers.
+// A group body may start another loop: it claims other idle workers and runs
+// what it cannot hand off, so nesting cannot deadlock and the threads in
+// flight never exceed workers() plus the external callers. Which thread runs
+// an index never shows in results: the parallel_* loops derive chunk
+// boundaries from (range, grain) alone.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -49,37 +41,36 @@ namespace spar::support::par {
 class TaskPool;
 
 namespace detail {
-/// Thread-local "current pool" consulted by the parallel_* loops; set by
-/// TaskPool::Use on external threads and permanently by workers on
-/// themselves.
-inline thread_local TaskPool* tls_current_pool = nullptr;
-/// Pool this thread is a worker of (null for external threads).
+/// Pool this thread is a worker of (null for other threads).
 inline thread_local TaskPool* tls_home_pool = nullptr;
-/// Worker id inside tls_home_pool: 1..workers(); 0 for external threads.
-inline thread_local int tls_worker_id = 0;
+/// What thread_id() reports: the worker id inside a group body, else 0.
+inline thread_local int tls_thread_id = 0;
+/// Thread budget set by set_num_threads / ThreadLimit; 0 = no limit. A
+/// group body runs under the budget of the thread that started the group.
+inline thread_local int tls_budget = 0;
 }  // namespace detail
 
 class TaskPool {
  public:
-  /// Starts `threads` workers (clamped to >= 1).
+  /// Starts `threads` workers (clamped to >= 1). If a thread fails to start,
+  /// joins the ones already started and rethrows.
   explicit TaskPool(int threads);
 
   /// Drains detached tasks, then stops and joins the workers. Destroying a
-  /// pool while another thread is inside run_indexed / waiting on an async
-  /// future from it is a caller bug.
+  /// pool while another thread is inside run() / waiting on an async future
+  /// from it is a caller bug.
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
   /// Number of worker threads.
-  int workers() const noexcept { return static_cast<int>(threads_.size()); }
+  int workers() const noexcept { return workers_; }
 
-  /// Widest set of threads one run_indexed group can execute on: the workers
-  /// plus the (helping) calling thread. This is what max_threads() reports
-  /// while the pool is current, and the bound on worker ids passed to group
-  /// bodies.
-  int parallel_width() const noexcept { return workers() + 1; }
+  /// Widest set of threads one group can execute on: the workers plus the
+  /// (helping) calling thread. A loop started on a worker of this pool sees
+  /// it as max_threads() when no smaller budget is set.
+  int parallel_width() const noexcept { return workers_ + 1; }
 
   /// Enqueues a detached task. `fn` must not throw (a throwing detached task
   /// calls std::terminate via the worker); use async() when the result or
@@ -93,70 +84,78 @@ class TaskPool {
     using R = std::invoke_result_t<std::decay_t<F>>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> out = task->get_future();
-    submit_nothrow([task] { (*task)(); });
+    submit([task] { (*task)(); });
     return out;
   }
 
-  /// Runs body(index, worker) for every index in [0, count), blocking until
-  /// all complete. Indices are claimed dynamically by the workers AND the
-  /// calling thread (which helps); `worker` identifies the executing thread,
-  /// is stable for the duration of the call, and is < parallel_width().
-  /// Safe to call from inside pool tasks (nested groups claim the same way).
-  /// The first exception a body throws is rethrown here after the group
-  /// drains.
+  /// Runs body(index, worker) for every index in [0, count) on at most
+  /// `threads` threads -- the caller plus idle workers it claims -- and
+  /// returns when all are done. `worker` (also thread_id() in the body) is 0
+  /// on the caller and 1.. on helpers in the order they start, below
+  /// min(threads, count). Helpers run the body under the caller's thread
+  /// budget. The first exception a body throws stops further claims and is
+  /// rethrown here.
+  template <typename F>
+  void run(std::int64_t count, int threads, F&& body) {
+    if (count <= 0) return;
+    if (count == 1 || threads <= 1) {
+      for (std::int64_t i = 0; i < count; ++i) body(i, 0);
+      return;
+    }
+    using Body = std::remove_reference_t<F>;
+    Group g;
+    g.invoke = [](const void* b, std::int64_t i, int worker) {
+      (*static_cast<Body*>(const_cast<void*>(b)))(i, worker);
+    };
+    g.body = &body;
+    g.count = count;
+    g.budget = detail::tls_budget;
+    dispatch(g, threads);
+  }
+
+  /// run() over [0, count) with the calling thread's budget capped at
+  /// parallel_width().
   void run_indexed(std::int64_t count,
                    const std::function<void(std::int64_t, int)>& body);
 
-  /// The pool current on this thread (set by Use, or the worker's own pool),
-  /// or null. Consulted by the parallel_* loops in parallel.hpp.
-  static TaskPool* current() noexcept { return detail::tls_current_pool; }
-
-  /// RAII scope pinning a pool as current() for this thread, so parallel_*
-  /// loops (and the algorithms built on them) execute on the pool.
-  class Use {
-   public:
-    explicit Use(TaskPool* pool) : saved_(detail::tls_current_pool) {
-      detail::tls_current_pool = pool;
-    }
-    ~Use() { detail::tls_current_pool = saved_; }
-    Use(const Use&) = delete;
-    Use& operator=(const Use&) = delete;
-
-   private:
-    TaskPool* saved_;
-  };
-
  private:
-  /// One run_indexed call in flight: indices are claimed via `next`,
-  /// completion tracked via `done`. Lives on the caller's stack; the caller
-  /// may not return (and destroy it) until done == count AND no worker still
-  /// holds a pointer to it (`claimers`, guarded by mu_, incremented in the
-  /// same critical section in which a worker takes the group from active_).
+  /// One run() call in flight, on the caller's stack; it returns only after
+  /// each helper was taken back unstarted or has left.
   struct Group {
-    const std::function<void(std::int64_t, int)>* body = nullptr;
+    void (*invoke)(const void* body, std::int64_t index, int worker) = nullptr;
+    const void* body = nullptr;
     std::int64_t count = 0;
-    std::atomic<std::int64_t> next{0};
-    std::atomic<std::int64_t> done{0};
-    int claimers = 0;  ///< workers inside claim_loop on this group (mu_)
-    std::mutex error_mu;
-    std::exception_ptr error;  ///< first exception, guarded by error_mu
+    int budget = 0;
+    alignas(64) std::atomic<std::int64_t> next{0};  ///< next unclaimed index
+    std::atomic<int> started{0};                    ///< helpers that started
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  ///< written once, by the first failure
   };
 
-  void submit_nothrow(std::function<void()> fn);
-  void worker_main(int id);
-  /// Claims and runs indices of `g` until exhausted; `worker` is the
-  /// executing thread's id for body calls.
-  void claim_loop(Group& g, int worker);
-  /// Removes `g` from the active list if still there (called once its
-  /// indices are exhausted).
-  void retire(Group& g);
+  /// A worker's mailbox: group address | state (task_pool.cpp).
+  struct alignas(64) Slot {
+    std::atomic<std::uintptr_t> word{0};
+  };
 
-  std::mutex mu_;
-  std::condition_variable work_cv_;  ///< workers: new tasks/groups or stop
-  std::condition_variable done_cv_;  ///< run_indexed callers: group finished
+  void dispatch(Group& g, int threads);
+  /// Claims and runs indices of `g` as `worker` until none are left; the
+  /// first exception a body throws is kept and ends the claims.
+  static void claim(Group& g, int worker);
+  void worker_main(int index);
+  /// Runs one queued detached task, if any is left.
+  void run_detached();
+  /// Puts the worker of `slot` to sleep if nothing is pending.
+  void park(Slot& slot);
+  /// Wakes sleeping workers: one (a task was queued) or all (shutdown).
+  void wake_sleepers(bool all);
+  void stop_and_join();
+
+  const int workers_;
+  std::unique_ptr<Slot[]> slots_;
+  alignas(64) std::atomic<int> pending_{0};  ///< queued detached tasks
+  std::atomic<bool> stop_{false};
+  std::mutex mu_;  ///< guards detached_
   std::deque<std::function<void()>> detached_;
-  std::vector<Group*> active_;  ///< groups with unclaimed indices
-  bool stop_ = false;
   std::vector<std::thread> threads_;
 };
 

@@ -8,25 +8,23 @@ WorkCounter::WorkCounter()
     : slots_(static_cast<std::size_t>(par::max_threads()) + 1) {}
 
 void WorkCounter::add(std::uint64_t amount) noexcept {
+  // Slots are keyed by par::thread_id() so one loop's threads never share
+  // one; loops running at once reuse ids, and an id beyond the
+  // max_threads() seen at construction shares the last slot, so adds are
+  // atomic.
   const auto tid = static_cast<std::size_t>(par::thread_id());
-  // A thread id beyond the initial max (nested regions with dynamic teams)
-  // falls back to the shared last slot; rare enough that the race-free
-  // requirement is kept by making that slot atomic-free but only used when
-  // the backend reports a stable id. par::thread_id() is always < num_threads
-  // of the innermost region, which is <= par::max_threads() at construction
-  // unless the caller raised the limit afterwards; clamp for safety.
   const std::size_t slot = tid < slots_.size() - 1 ? tid : slots_.size() - 1;
-  slots_[slot].value += amount;
+  slots_[slot].value.fetch_add(amount, std::memory_order_relaxed);
 }
 
 std::uint64_t WorkCounter::total() const noexcept {
   std::uint64_t sum = 0;
-  for (const auto& slot : slots_) sum += slot.value;
+  for (const auto& slot : slots_) sum += slot.value.load(std::memory_order_relaxed);
   return sum;
 }
 
 void WorkCounter::reset() noexcept {
-  for (auto& slot : slots_) slot.value = 0;
+  for (auto& slot : slots_) slot.value.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace spar::support

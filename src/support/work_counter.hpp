@@ -6,10 +6,12 @@
 // Algorithms in libspar report work through a WorkCounter so benches can
 // verify the O(m log^2 n log^3 rho / eps^2)-type shapes directly.
 //
-// Counters are accumulated per OpenMP thread (padded to avoid false sharing)
-// and summed on read, so hot loops pay one uncontended increment.
+// Counters are accumulated per worker id (par::thread_id(), padded to avoid
+// false sharing) and summed on read, so hot loops pay one uncontended atomic
+// add.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,7 +32,7 @@ class WorkCounter {
 
  private:
   struct alignas(64) Slot {
-    std::uint64_t value = 0;
+    std::atomic<std::uint64_t> value{0};
   };
   std::vector<Slot> slots_;
 };

@@ -6,8 +6,8 @@
 //  2. distribution invariants: scores sum to 1, are strictly positive under
 //     uniform teleport, dangling (degree-zero) vertices keep their teleport
 //     mass, personalized teleport localizes around the sources;
-//  3. determinism: scores are bit-identical at 1/2/4 threads and in the
-//     OpenMP-off build (golden hash -- re-record via BUILDING.md
+//  3. determinism: scores are bit-identical at 1/2/4 threads, ThreadLimit(1)
+//     included (golden hash -- re-record via BUILDING.md
 //     "Re-baselining" after deliberate algorithm changes).
 #include "apps/pagerank.hpp"
 
@@ -230,7 +230,7 @@ TEST(PageRank, RejectsOutOfRangeSource) {
 
 TEST(PageRankDeterminism, GoldenHashAcrossThreadCounts) {
   // SpMV on the CSR kernel + chunk-ordered elementwise work: bit-identical
-  // for any thread count and for the OpenMP-off build. Golden value pins the
+  // for any thread count, ThreadLimit(1) included. Golden value pins the
   // x86-64 gcc Release build; re-record via BUILDING.md ("Re-baselining")
   // after deliberate algorithm changes.
   const Graph g = graph::randomize_weights(graph::grid2d(16, 16), 2.0, 5);

@@ -9,7 +9,7 @@
 //     recover the optimal conductance exactly, and the Fiedler sweep can
 //     never beat it;
 //  3. determinism: sign-fixed Fiedler vectors are bit-identical at 1/2/4
-//     threads and in the OpenMP-off build (same golden hash -- re-record via
+//     threads, ThreadLimit(1) included (same golden hash -- re-record via
 //     BUILDING.md "Re-baselining" after deliberate algorithm changes), and
 //     the convenience entry point agrees bitwise with the caller-owned
 //     resident-chain overload (chain-reuse identity).
@@ -22,6 +22,7 @@
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -70,19 +71,26 @@ double brute_force_min_conductance(const Graph& g, std::vector<bool>* best_side)
 
 // ---- 1. Fiedler value vs the dense eigensolver --------------------------
 
+// `family` is a fixed array, not a std::string: gtest prints a parameter
+// that has no printer as its raw bytes, and ctest takes that dump into the
+// test name. A std::string put a heap address there, so the names changed
+// whenever the heap layout did (linking one runtime library more or less was
+// enough). The array holds no pointer and keeps the struct at 48 bytes.
 struct OracleCase {
-  std::string family;  // grid | er | complete | wgrid
+  char family[32] = {};  // grid | er | complete | wgrid
   graph::Vertex a = 0, b = 0;
   std::uint64_t seed = 0;
+
+  bool is(std::string_view f) const { return family == f; }
 };
 
 Graph build(const OracleCase& c) {
-  if (c.family == "grid") return graph::grid2d(c.a, c.b);
-  if (c.family == "wgrid")
+  if (c.is("grid")) return graph::grid2d(c.a, c.b);
+  if (c.is("wgrid"))
     return graph::randomize_weights(graph::grid2d(c.a, c.b), 2.0, c.seed);
-  if (c.family == "er")
+  if (c.is("er"))
     return graph::connected_erdos_renyi(c.a, 8.0 / double(c.a), c.seed);
-  if (c.family == "complete") return graph::complete_graph(c.a);
+  if (c.is("complete")) return graph::complete_graph(c.a);
   ADD_FAILURE() << "unknown family " << c.family;
   return Graph(1);
 }
@@ -97,7 +105,7 @@ TEST_P(FiedlerDenseOracle, MatchesSymmetricEigenvalues) {
   // Small ER instances are near-expanders: lambda_2 / lambda_3 ~ 1 makes the
   // inverse-power contraction per step tiny, so grant them a deeper budget
   // (each step is one cheap batched solve at this size).
-  if (c.family == "er") opt.max_iterations = 400;
+  if (c.is("er")) opt.max_iterations = 400;
 
   const FiedlerReport fr = fiedler_vector(g, opt);
   EXPECT_TRUE(fr.converged) << c.family;
@@ -132,8 +140,8 @@ INSTANTIATE_TEST_SUITE_P(
                       OracleCase{"complete", 20, 0, 0}),
     [](const auto& info) {
       const OracleCase& c = info.param;
-      return c.family + "_" + std::to_string(c.a) + "x" + std::to_string(c.b) +
-             "_s" + std::to_string(c.seed);
+      return std::string(c.family) + "_" + std::to_string(c.a) + "x" +
+             std::to_string(c.b) + "_s" + std::to_string(c.seed);
     });
 
 TEST(Fiedler, GridClosedForm) {
@@ -241,8 +249,8 @@ TEST(SweepCut, RejectsSizeMismatch) {
 TEST(PartitionDeterminism, GoldenHashAcrossThreadCounts) {
   // The full app path -- chain build, batched solves, Rayleigh-Ritz, sweep
   // -- composes only chunk-ordered primitives, so the sign-fixed Fiedler
-  // vector is bit-identical for any thread count and for the OpenMP-off
-  // build. The golden value pins the x86-64 gcc Release build at fixed
+  // vector is bit-identical for any thread count, ThreadLimit(1) included.
+  // The golden value pins the x86-64 gcc Release build at fixed
   // (graph, seed); re-record via BUILDING.md ("Re-baselining") after
   // deliberate algorithm changes.
   const Graph g = graph::randomize_weights(graph::grid2d(16, 16), 2.0, 5);

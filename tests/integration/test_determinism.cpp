@@ -1,5 +1,5 @@
 // Thread-count independence: every randomized parallel algorithm must emit
-// bit-identical results for 1, 2, and 4 OpenMP threads, because all coins are
+// bit-identical results for 1, 2, and 4 threads, because all coins are
 // counter-based functions of (seed, index). This is the property that makes
 // the CRCW-PRAM-style implementation debuggable and the benches reproducible.
 #include <gtest/gtest.h>

@@ -83,10 +83,9 @@ TEST(ParallelDeterminism, SparsifyOutputMatchesPreRefactorGoldenHashes) {
   // Golden fingerprints recorded from the pre-EdgeArena pipeline (PR 1 state,
   // serial assemble loop + per-round Graph/CSR rebuild) on x86-64 gcc,
   // Release. The zero-copy round pipeline must reproduce them bit for bit,
-  // for every thread count and for the OpenMP-off build (this test runs in
-  // both CI configurations). Weights go through IEEE *, /, and glibc
-  // exp/log in the generators only, so the constants are stable on the
-  // toolchains CI uses. If a deliberate algorithm change breaks them,
+  // for every thread count, ThreadLimit(1) included. Weights go through
+  // IEEE *, /, and glibc exp/log in the generators only, so the constants
+  // are stable on the toolchains CI uses. If a deliberate algorithm change breaks them,
   // re-record via the recipe in BUILDING.md ("Re-baselining").
   struct GoldenCase {
     const char* name;

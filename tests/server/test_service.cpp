@@ -72,6 +72,9 @@ TEST(SolverService, SolvesMatchStandaloneSolveSddBitwise) {
     expected.emplace_back(i, solver::solve_sdd(m, chain, rhs, sopt).solution);
     service.submit("g", rhs, [&, i](SolveResult r) {
       ordered[i] = std::move(r);
+      // Under the lock: the waiter cannot miss the wake-up, or return and
+      // destroy the condition variable while notify_all still runs.
+      std::lock_guard<std::mutex> lock(got.mu);
       if (done.fetch_add(1) + 1 == kRequests) got.cv.notify_all();
     });
   }
@@ -159,6 +162,7 @@ TEST(SolverService, BatchingDisabledServesSingletonsWithSameBits) {
     for (std::size_t i = 0; i < 6; ++i)
       service.submit("g", test_rhs(n, 40 + i), [&, i](SolveResult r) {
         ordered[i] = std::move(r);
+        std::lock_guard<std::mutex> lock(got.mu);
         ++done;
         got.cv.notify_all();
       });
@@ -245,6 +249,7 @@ TEST(SolverService, PoolWidthDoesNotChangeResponseBits) {
     for (std::size_t i = 0; i < 4; ++i)
       service.submit("g", test_rhs(n, 60 + i), [&, i](SolveResult r) {
         ordered[i] = std::move(r);
+        std::lock_guard<std::mutex> lock(mu);
         ++done;
         cv.notify_all();
       });

@@ -235,7 +235,7 @@ TEST(StreamedChain, DeterministicAcrossThreadCounts) {
   // The streamed build composes only deterministic parallel primitives
   // (Gustavson SpGEMM, serial emit scan, tower round pipeline), so the whole
   // chain -- every level's graph, slack, and therefore every apply() -- is
-  // bit-identical for any thread count and for the OpenMP-off build. The
+  // bit-identical for any thread count, ThreadLimit(1) included. The
   // golden value pins the x86-64 gcc Release build at fixed (seed, batch
   // size); re-record via BUILDING.md ("Re-baselining") after deliberate
   // algorithm changes.

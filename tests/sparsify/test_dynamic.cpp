@@ -315,10 +315,9 @@ TEST(DynamicSparsify, DriverMatchesManualApplicationBitForBit) {
 
 TEST(DynamicSparsify, GoldenHashAcrossThreadCounts) {
   // Golden fingerprint recorded from the x86-64 gcc Release build at 1
-  // thread; the same constant must hold at every thread count and for the
-  // OpenMP-off build (this test runs in both CI configurations). If a
-  // deliberate algorithm change breaks it, re-record via the recipe in
-  // BUILDING.md ("Re-baselining").
+  // thread; the same constant must hold at every thread count, ThreadLimit(1)
+  // included. If a deliberate algorithm change breaks it, re-record via the
+  // recipe in BUILDING.md ("Re-baselining").
   const Graph g = graph::randomize_weights(graph::complete_graph(90), 0.5, 21);
   const UpdateBatch u = graph::synthesize_updates(g, 0.25, 41);
   const DynamicOptions opt = base_options(1000, 33);  // sketch-worthy levels

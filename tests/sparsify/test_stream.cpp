@@ -146,10 +146,9 @@ TEST(StreamSparsify, FileStreamsMatchInMemoryBitForBit) {
 TEST(StreamSparsify, GoldenHashAcrossThreadCounts) {
   // Golden fingerprint recorded from the x86-64 gcc Release build at 1
   // thread. The tower's passes all run on the deterministic round pipeline,
-  // so the final sparsifier must be bit-identical for every thread count AND
-  // for the OpenMP-off build (this test runs in both CI configurations). If
-  // a deliberate algorithm change breaks it, re-record via the recipe in
-  // BUILDING.md ("Re-baselining").
+  // so the final sparsifier must be bit-identical for every thread count,
+  // ThreadLimit(1) included. If a deliberate algorithm change breaks it,
+  // re-record via the recipe in BUILDING.md ("Re-baselining").
   const Graph g = graph::randomize_weights(graph::complete_graph(90), 0.5, 21);
   EdgeArena arena(g);
   const StreamOptions opt = base_options(500, 33);

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <vector>
 
 namespace spar::support {
@@ -80,8 +83,8 @@ TEST(ParallelReduce, MatchesSerialFold) {
 
 TEST(ParallelReduce, BitIdenticalAcrossThreadCounts) {
   // Floating-point partials are combined in chunk order, so the result is
-  // bit-identical for every thread count -- the property an OpenMP
-  // `reduction` clause does NOT give.
+  // bit-identical for every thread count -- the property a reduction over
+  // per-thread partials does NOT give.
   const std::int64_t n = 200000;
   std::vector<double> values(static_cast<std::size_t>(n));
   Rng rng(99);
@@ -104,8 +107,8 @@ TEST(ParallelReduce, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelReduce, SerialAndParallelPathsAgreeBitwise) {
-  // enable=false forces the serial path; it must chunk identically, so the
-  // serial fallback build produces the same bits as the parallel build.
+  // enable=false forces the inline path; it must chunk identically, so a
+  // disabled or one-thread loop produces the same bits as a parallel one.
   const std::int64_t n = 150000;
   std::vector<double> values(static_cast<std::size_t>(n));
   Rng rng(7);
@@ -258,14 +261,54 @@ TEST(ThreadLimit, RestoresPreviousBudget) {
   EXPECT_EQ(par::max_threads(), before);
 }
 
+TEST(ThreadLimit, CapsLoopsStartedInsidePoolTasks) {
+  // The budget is per thread: set inside a pool task, it caps the loops that
+  // task starts at t threads. Ids stay below max_threads() (so WorkerLocal
+  // indexing holds), and each scope restores the budget it found.
+  par::TaskPool pool(3);
+  const int outer_before = par::max_threads();
+  for (const int t : {1, 2, 3}) {
+    std::mutex mu;
+    std::set<int> ids;
+    bool ids_in_range = true;
+    int before = 0, inside = 0, after = 0;
+    pool.async([&] {
+          before = par::max_threads();
+          {
+            par::ThreadLimit limit(t);
+            inside = par::max_threads();
+            par::parallel_chunks(
+                0, 256,
+                [&](std::int64_t, std::int64_t, std::int64_t, int worker) {
+                  // Long enough per chunk that idle workers join in.
+                  const auto until =
+                      std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+                  while (std::chrono::steady_clock::now() < until) {
+                  }
+                  std::lock_guard<std::mutex> lk(mu);
+                  ids.insert(worker);
+                  if (worker < 0 || worker >= inside || par::thread_id() != worker)
+                    ids_in_range = false;
+                },
+                {.grain = 1});
+          }
+          after = par::max_threads();
+        })
+        .get();
+    EXPECT_EQ(inside, t);
+    EXPECT_LE(ids.size(), static_cast<std::size_t>(t)) << t << " threads";
+    EXPECT_TRUE(ids_in_range) << t << " threads";
+    EXPECT_EQ(after, before) << t << " threads";
+  }
+  EXPECT_EQ(par::max_threads(), outer_before);
+}
+
 TEST(Backend, DescriptionMentionsBackend) {
   const std::string desc = par::backend_description();
-  if (par::openmp_enabled()) {
-    EXPECT_NE(desc.find("openmp"), std::string::npos);
-  } else {
-    EXPECT_NE(desc.find("serial"), std::string::npos);
-    EXPECT_EQ(par::max_threads(), 1);
-  }
+  EXPECT_EQ(desc.rfind("task_pool", 0), 0u) << desc;
+  EXPECT_NE(desc.find("max_threads=" + std::to_string(par::max_threads())), std::string::npos)
+      << desc;
+  EXPECT_LE(par::max_threads(), par::hardware_threads());
 }
 
 }  // namespace

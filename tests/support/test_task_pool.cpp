@@ -1,16 +1,15 @@
-// TaskPool: the persistent worker pool behind the solver service.
+// TaskPool: the worker pool behind every parallel loop and the solver
+// service.
 //
 // The contracts under test:
-//  * run_indexed executes every index exactly once, with the caller helping
-//    (so zero-worker pools still make progress);
+//  * run_indexed executes every index exactly once, with the caller helping;
 //  * nesting is deadlock-free: a task body may itself call run_indexed /
 //    parallel_for, which dispatches onto the SAME workers;
-//  * pool execution keeps the substrate's determinism contract: chunk
-//    boundaries come from default_grain, so parallel_for/parallel_reduce
-//    results are bit-identical to the serial and OpenMP backends;
+//  * pool execution keeps the substrate's determinism contract: loops run
+//    inside a pool task (on that pool) give the bits of a one-thread run;
 //  * exceptions from task bodies propagate to the caller of run_indexed;
-//  * thread_id() stays in [0, parallel_width) on pool workers, so
-//    WorkerLocal slot indexing (and WorkCounter) is race-free under the pool.
+//  * thread_id() stays in [0, parallel_width) inside a loop body, so
+//    WorkerLocal slot indexing is race-free under the pool.
 #include "support/task_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 #include <atomic>
 #include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "support/parallel.hpp"
@@ -71,10 +71,11 @@ TEST(TaskPool, ParallelForUnderPoolIsBitIdenticalToSerial) {
     return fill();
   }();
   par::TaskPool pool(3);
-  par::TaskPool::Use use(&pool);
-  EXPECT_EQ(par::backend_description().rfind("task_pool", 0), 0u);
-  EXPECT_EQ(par::max_threads(), pool.parallel_width());
-  const std::vector<double> pooled = fill();
+  // A pool worker's loops run on its own pool, at the pool's width.
+  const std::vector<double> pooled = pool.async([&] {
+                                           EXPECT_EQ(par::max_threads(), pool.parallel_width());
+                                           return fill();
+                                         }).get();
   EXPECT_EQ(pooled, serial);
 }
 
@@ -95,10 +96,33 @@ TEST(TaskPool, ParallelReduceUnderPoolMatchesSerialExactly) {
     return reduce();
   }();
   par::TaskPool pool(4);
-  par::TaskPool::Use use(&pool);
-  const double pooled = reduce();
+  const double pooled = pool.async(reduce).get();
   // Chunk-order combines => bit-identical, not merely approximately equal.
   EXPECT_EQ(pooled, serial);
+}
+
+TEST(TaskPool, ConcurrentCallersEachCompleteTheirGroups) {
+  // Several external threads share one pool's workers: each group still runs
+  // every index once, and each caller's worker ids stay below its width.
+  par::TaskPool pool(3);
+  std::vector<std::thread> callers;
+  std::vector<std::int64_t> sums(4, 0);
+  std::atomic<bool> bad{false};
+  for (std::size_t t = 0; t < sums.size(); ++t) {
+    callers.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<std::int64_t>> part(static_cast<std::size_t>(pool.parallel_width()));
+        pool.run_indexed(200, [&](std::int64_t i, int worker) {
+          if (worker < 0 || worker >= pool.parallel_width()) bad.store(true);
+          part[static_cast<std::size_t>(worker)].fetch_add(i);
+        });
+        for (const auto& p : part) sums[t] += p.load();
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  EXPECT_FALSE(bad.load());
+  for (const std::int64_t s : sums) EXPECT_EQ(s, 50 * (199 * 200 / 2));
 }
 
 TEST(TaskPool, ThreadIdStaysInsideParallelWidth) {
@@ -147,19 +171,22 @@ TEST(TaskPool, SubmitRunsDetachedTasks) {
 
 TEST(TaskPool, WorkerLocalSlotsDoNotCollideUnderPool) {
   par::TaskPool pool(3);
-  par::TaskPool::Use use(&pool);
   // One scratch accumulator per worker id; slot ownership is the substrate's
-  // "worker id is stable within a call" guarantee, now provided by the pool.
-  par::WorkerLocal<std::uint64_t> counts;
-  ASSERT_EQ(counts.size(), static_cast<std::size_t>(pool.parallel_width()));
-  std::atomic<std::uint64_t> grand{0};
-  par::parallel_chunks(0, 10000,
-                       [&](std::int64_t cb, std::int64_t ce, std::int64_t, int worker) {
-                         counts.local(worker, [] { return std::uint64_t{0}; }) +=
-                             static_cast<std::uint64_t>(ce - cb);
-                         grand.fetch_add(static_cast<std::uint64_t>(ce - cb));
-                       });
-  EXPECT_EQ(grand.load(), 10000u);
+  // "worker id is stable within a call" guarantee, provided by the pool.
+  // Run inside a pool task, so the loop dispatches onto this pool.
+  pool.async([&] {
+        par::WorkerLocal<std::uint64_t> counts;
+        ASSERT_EQ(counts.size(), static_cast<std::size_t>(pool.parallel_width()));
+        std::atomic<std::uint64_t> grand{0};
+        par::parallel_chunks(0, 10000,
+                             [&](std::int64_t cb, std::int64_t ce, std::int64_t, int worker) {
+                               counts.local(worker, [] { return std::uint64_t{0}; }) +=
+                                   static_cast<std::uint64_t>(ce - cb);
+                               grand.fetch_add(static_cast<std::uint64_t>(ce - cb));
+                             });
+        EXPECT_EQ(grand.load(), 10000u);
+      })
+      .get();
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "support/parallel.hpp"
 
 namespace spar::support {
@@ -31,6 +35,26 @@ TEST(WorkCounter, ParallelAccumulationIsExact) {
   const int iterations = 100000;
   par::parallel_for(0, iterations, [&](std::int64_t) { wc.add(1); });
   EXPECT_EQ(wc.total(), static_cast<std::uint64_t>(iterations));
+}
+
+TEST(WorkCounter, ConcurrentLoopsSharingACounterLoseNothing) {
+  // Two loops running at once reuse worker ids (each caller is id 0), so
+  // several threads add to one slot; no update may be lost.
+  WorkCounter wc;
+  constexpr int kCallers = 4;
+  constexpr int kIterations = 200000;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c)
+    callers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kCallers) {  // start together so the adds overlap
+      }
+      par::parallel_for(0, kIterations, [&](std::int64_t) { wc.add(1); });
+      for (int i = 0; i < kIterations; ++i) wc.add(1);
+    });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(wc.total(), static_cast<std::uint64_t>(2 * kCallers * kIterations));
 }
 
 TEST(WorkScope, NullCounterIsNoop) {
