@@ -6,9 +6,11 @@
 // for the whole block; the per-RHS loop (k calls to solve_sdd over the same
 // chain) streams the chain k times. Batched per-column solutions must be
 // BIT-identical to the per-RHS loop -- the binary exits nonzero if they
-// differ or if any solve misses the tolerance, so CI can smoke it. A block
-// (k >= 2) slower than its per-RHS loop prints a WARNING line: a flag for
-// the reader, not a failure, since wall-clock is machine-dependent.
+// differ or if any solve misses the tolerance, so CI can smoke it. Each
+// side is timed three times, alternating loop and block, and the table
+// shows the medians; a block (k >= 2) whose median is slower than its
+// per-RHS loop's prints a WARNING line: a flag for the reader, not a
+// failure, since wall-clock is machine-dependent.
 //
 // A second table times the effective-resistance JL sketch, which routes
 // through blocked CG: block_size=1 is the old probe-at-a-time schedule,
@@ -24,6 +26,7 @@
 #include "resistance/effective_resistance.hpp"
 #include "solver/solver.hpp"
 #include "support/rng.hpp"
+#include "support/stats.hpp"
 
 using namespace spar;
 
@@ -86,7 +89,7 @@ int main(int argc, char** argv) {
   sopt.chain.rho = 8.0;
   sopt.chain.t = 1;
 
-  support::Table table({"family", "n", "m", "k", "loop ms", "batched ms", "speedup",
+  support::Table table({"family", "n", "m", "k", "loop ms (med)", "batched ms (med)", "speedup",
                         "iters", "max resid", "bitwise"});
   bool ok = true;
   std::vector<std::string> warnings;
@@ -109,36 +112,44 @@ int main(int argc, char** argv) {
       std::vector<linalg::Vector> b_cols;
       for (std::size_t j = 0; j < k; ++j) b_cols.push_back(b.column_copy(j));
 
-      support::Timer loop_timer;
-      std::vector<solver::SolveReport> loop_reports;
-      for (std::size_t j = 0; j < k; ++j)
-        loop_reports.push_back(solver::solve_sdd(m, chain, b_cols[j], sopt));
-      const double loop_ms = loop_timer.millis();
-
-      support::Timer batch_timer;
-      const auto batched = solver::solve_sdd_multi(m, chain, b, sopt);
-      const double batch_ms = batch_timer.millis();
-
+      // One timing of each side is at the mercy of host noise; alternate
+      // the two three times and compare medians.
+      constexpr int kRepeats = 3;
+      std::vector<double> loop_times, batch_times;
       bool bitwise = true;
       double max_resid = 0.0;
       std::size_t iters = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        const linalg::Vector col = batched.solutions.column_copy(j);
-        bitwise = bitwise &&
-                  std::memcmp(col.data(), loop_reports[j].solution.data(),
-                              col.size() * sizeof(double)) == 0 &&
-                  batched.columns[j].iterations == loop_reports[j].iterations;
-        ok = ok && loop_reports[j].converged && batched.columns[j].converged;
-        max_resid = std::max(max_resid, batched.columns[j].relative_residual);
-        max_resid = std::max(max_resid, loop_reports[j].relative_residual);
-        iters = std::max(iters, batched.columns[j].iterations);
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        support::Timer loop_timer;
+        std::vector<solver::SolveReport> loop_reports;
+        for (std::size_t j = 0; j < k; ++j)
+          loop_reports.push_back(solver::solve_sdd(m, chain, b_cols[j], sopt));
+        loop_times.push_back(loop_timer.millis());
+
+        support::Timer batch_timer;
+        const auto batched = solver::solve_sdd_multi(m, chain, b, sopt);
+        batch_times.push_back(batch_timer.millis());
+
+        for (std::size_t j = 0; j < k; ++j) {
+          const linalg::Vector col = batched.solutions.column_copy(j);
+          bitwise = bitwise &&
+                    std::memcmp(col.data(), loop_reports[j].solution.data(),
+                                col.size() * sizeof(double)) == 0 &&
+                    batched.columns[j].iterations == loop_reports[j].iterations;
+          ok = ok && loop_reports[j].converged && batched.columns[j].converged;
+          max_resid = std::max(max_resid, batched.columns[j].relative_residual);
+          max_resid = std::max(max_resid, loop_reports[j].relative_residual);
+          iters = std::max(iters, batched.columns[j].iterations);
+        }
       }
       ok = ok && bitwise;
+      const double loop_ms = support::percentile(loop_times, 0.5);
+      const double batch_ms = support::percentile(batch_times, 0.5);
       if (k >= 2 && batch_ms > loop_ms) {
         char line[160];
         std::snprintf(line, sizeof(line),
-                      "WARNING: %s n=%u k=%zu: the block (%.3g ms) is slower than its "
-                      "per-RHS loop (%.3g ms)",
+                      "WARNING: %s n=%u k=%zu: the block (median %.3g ms) is slower than "
+                      "its per-RHS loop (median %.3g ms)",
                       c.family.c_str(), static_cast<unsigned>(c.n), k, batch_ms, loop_ms);
         warnings.emplace_back(line);
       }

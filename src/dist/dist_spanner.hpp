@@ -125,10 +125,6 @@ struct DistSparsifyOptions {
   double keep_probability = 0.25;
   std::uint64_t seed = 1;
   support::WorkCounter* work = nullptr;
-  /// Stop once a round has no off-bundle edges left, mirroring
-  /// sparsify::SparsifyOptions::stop_when_saturated (early exit changes
-  /// nothing in the output; further rounds are identities).
-  bool stop_when_saturated = true;
 };
 
 /// One PARALLELSAMPLE round of the distributed sparsifier.

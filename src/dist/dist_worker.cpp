@@ -11,7 +11,7 @@
 //               --shard S_ID --shards S --out result.bin
 //               (--unix-base PATH | --tcp-dir DIR)
 //               [--k N] [--epsilon E] [--rho R] [--t T]
-//               [--keep-probability P] [--seed S] [--stop-when-saturated 0|1]
+//               [--keep-probability P] [--seed S]
 //               [--connect-timeout-ms MS]
 #include <cstdio>
 #include <exception>
@@ -89,7 +89,6 @@ int run(int argc, char** argv) {
     opt.keep_probability = opts.get_double("keep-probability", 0.25);
     opt.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
     opt.work = &work;
-    opt.stop_when_saturated = opts.get_bool("stop-when-saturated", true);
     dist::ShardSparsifyOutput out = dist::run_shard_sparsify(net, g, opt);
     res.owned = std::move(out.owned);
     res.final_edges = out.final_edges;

@@ -72,7 +72,6 @@ struct ProtoOptions {
   std::size_t t = 0;
   double keep_probability = 0.25;
   std::uint64_t seed = 1;
-  bool stop_when_saturated = true;
 };
 
 detail::WorkerResult run_one_shard(Transport& net, Mode mode,
@@ -117,7 +116,6 @@ detail::WorkerResult run_one_shard(Transport& net, Mode mode,
       opt.keep_probability = proto.keep_probability;
       opt.seed = proto.seed;
       opt.work = work;
-      opt.stop_when_saturated = proto.stop_when_saturated;
       ShardSparsifyOutput out = run_shard_sparsify(net, g, opt);
       res.owned = std::move(out.owned);
       res.final_edges = out.final_edges;
@@ -229,7 +227,6 @@ std::vector<detail::WorkerResult> run_sockets(const DistExecOptions& exec,
           "--t", std::to_string(proto.t),
           "--keep-probability", fmt_double(proto.keep_probability),
           "--seed", std::to_string(proto.seed),
-          "--stop-when-saturated", proto.stop_when_saturated ? "1" : "0",
       };
       if (exec.backend == DistBackend::kSocketUnix) {
         args.push_back("--unix-base");
@@ -385,7 +382,6 @@ DistSparsifyResult run_distributed_sparsify(const graph::Graph& g,
   proto.t = options.t;
   proto.keep_probability = options.keep_probability;
   proto.seed = options.seed;
-  proto.stop_when_saturated = options.stop_when_saturated;
   std::vector<detail::WorkerResult> shards =
       run_mesh(g, Mode::kSparsify, proto, options.work, exec);
 

@@ -525,10 +525,9 @@ ShardSparsifyOutput run_shard_sparsify(Transport& net, const Graph& g,
       out.rounds.push_back(stats);
       out.metrics.absorb(stats.metrics);
 
-      const bool saturated = sample.sampled_edges == 0 &&
-                             sample.bundle_edges == sample.edges_before;
-      if (options.stop_when_saturated && saturated)
-        break;  // bundle swallowed the graph; rest are identities
+      // Same stop as sparsify::parallel_sparsify_rounds: the first round
+      // whose bundle kept every edge ends the loop.
+      if (sample.sampled_edges == 0 && sample.bundle_edges == sample.edges_before) break;
     }
   }
   out.owned = slice_to_edges(w.slice);

@@ -11,7 +11,8 @@
 //  * closed-loop mode (--concurrency=C): C requests pipelined on the
 //    connection, each completion immediately replaced -- measures peak
 //    sustainable throughput at a fixed offered concurrency. This is the
-//    mode the E15 batching-vs-no-batching comparison uses.
+//    mode the E15 comparison of batching against a --max-batch=1 server
+//    uses.
 //
 // Correctness: every reply is checked BIT-FOR-BIT against a local oracle
 // (the same graph spec -> SDDMatrix -> InverseChain with the server's
@@ -25,10 +26,12 @@
 // build -- the build cost is reported separately in the server's registry
 // stats (build_micros). --warmup=0 includes the cold build in level 1.
 //
-//   load_gen --socket=/tmp/spar.sock --spec=gen:grid:64x64
+//   load_gen (--socket=/tmp/spar.sock | --tcp-port=P) --spec=gen:grid:64x64
 //     [--requests=200] [--rates=4,16,64 | --concurrency=16]
 //     [--seed=1] [--warmup=1] [--quick] [--json=out.json] [--no-verify]
-//     [--shutdown-server]
+//     [--shutdown-server] [--graph=g] [--tolerance=1e-8]
+//
+// An option not listed here is an error.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -255,6 +258,9 @@ std::vector<double> parse_csv(const std::string& s, const char* what) {
 
 int run(int argc, char** argv) {
   support::Options opt(argc, argv);
+  opt.reject_unknown({"socket", "spec", "requests", "rates", "concurrency", "seed", "warmup",
+                      "quick", "json", "no-verify", "shutdown-server", "graph", "tolerance",
+                      "tcp-port"});
   const bool quick = opt.get_bool("quick", false);
   const std::string socket_path = opt.get("socket", "/tmp/spar_solver.sock");
   const std::string spec = opt.get("spec", quick ? "gen:grid:24x24" : "gen:grid:64x64");

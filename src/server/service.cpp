@@ -48,7 +48,6 @@ std::string json_escape(const std::string& s) {
 SolverService::SolverService(ServiceOptions options)
     : options_(std::move(options)),
       registry_(options_.registry),
-      pool_(options_.threads),
       dispatcher_([this] { dispatcher_main(); }) {}
 
 SolverService::~SolverService() { shutdown(); }
@@ -70,15 +69,11 @@ void SolverService::submit(const std::string& name, linalg::Vector rhs, Callback
 void SolverService::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && !dispatcher_.joinable()) return;
     stopping_ = true;
   }
   queue_cv_.notify_all();
+  // The dispatcher returns once the queue is empty and its last batch ran.
   if (dispatcher_.joinable()) dispatcher_.join();
-  // The dispatcher exits only once the queue is empty; wait for dispatched
-  // batches still running on the pool.
-  std::unique_lock<std::mutex> lock(mu_);
-  drained_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 bool SolverService::next_batch(Batch& out) {
@@ -93,12 +88,11 @@ bool SolverService::next_batch(Batch& out) {
   queue_.pop_front();
   // Copy, not reference: admitting push_backs may reallocate `out`.
   const std::string name = out.front().name;
-  const std::size_t max_batch = options_.batching ? options_.max_batch : 1;
+  const std::size_t max_batch = options_.max_batch;
   const auto deadline =
       out.front().enqueued + std::chrono::microseconds(options_.deadline_us);
 
   bool deadline_close = false;
-  const std::size_t executors = static_cast<std::size_t>(pool_.workers());
   while (out.size() < max_batch) {
     // Admit every queued same-graph request, oldest first.
     for (auto it = queue_.begin(); it != queue_.end() && out.size() < max_batch;) {
@@ -113,24 +107,11 @@ bool SolverService::next_batch(Batch& out) {
     // Batch not full: hold for more arrivals until the OLDEST member's
     // deadline. Stopping forfeits the wait -- drain fast, batches may
     // close small.
-    if (stopping_) {
+    if (stopping_ || Clock::now() >= deadline) {
       deadline_close = true;
       break;
     }
-    const bool expired = Clock::now() >= deadline;
-    if (expired && in_flight_ < executors) {
-      deadline_close = true;
-      break;
-    }
-    if (expired) {
-      // Every pool worker is busy: closing now cannot start the solve any
-      // sooner, it only fragments the queue into undersized batches that
-      // pile up behind the running one. Keep admitting until a worker
-      // frees (execute() signals queue_cv_) or the batch fills.
-      queue_cv_.wait(lock);
-    } else {
-      queue_cv_.wait_until(lock, deadline);
-    }
+    queue_cv_.wait_until(lock, deadline);
   }
 
   ++stats_.batches;
@@ -140,22 +121,17 @@ bool SolverService::next_batch(Batch& out) {
     ++stats_.deadline_closes;
   else
     ++stats_.size_closes;
-  ++in_flight_;
   return true;
 }
 
 void SolverService::dispatcher_main() {
+  // No batch closes while one runs: requests that arrive meanwhile queue,
+  // and the next batch admits them all at once (up to max_batch).
   Batch batch;
-  while (next_batch(batch)) {
-    // A loop started on a pool worker runs on that pool, so the blocked
-    // solve's parallel loops use the same workers -- and the dispatcher is
-    // immediately free to form the next batch while this one solves.
-    pool_.submit([this, b = std::move(batch)]() mutable { execute(std::move(b)); });
-    batch = Batch();
-  }
+  while (next_batch(batch)) execute(batch);
 }
 
-void SolverService::execute(Batch batch) {
+void SolverService::execute(Batch& batch) {
   const auto dispatched = Clock::now();
   auto finish_all = [&](const std::string& error) {
     for (Pending& p : batch) {
@@ -207,14 +183,6 @@ void SolverService::execute(Batch batch) {
   } catch (...) {
     finish_all("unknown error in batch execution");
   }
-
-  // Notify under the lock: once in_flight_ reaches 0, shutdown() may return
-  // and the service's condition variables be destroyed.
-  std::lock_guard<std::mutex> lock(mu_);
-  --in_flight_;
-  drained_cv_.notify_all();
-  // A freed worker may let a deadline-expired batch close (see next_batch).
-  queue_cv_.notify_all();
 }
 
 ServiceStats SolverService::stats() const {
@@ -232,7 +200,6 @@ std::string SolverService::stats_json() const {
       << ",\"max_batch_seen\":" << s.max_batch_seen
       << ",\"max_batch\":" << options_.max_batch
       << ",\"deadline_us\":" << options_.deadline_us
-      << ",\"batching\":" << (options_.batching ? "true" : "false")
       << ",\"registry\":{\"resident_bytes\":" << registry_.resident_bytes()
       << ",\"budget_bytes\":" << registry_.options().memory_budget_bytes
       << ",\"chains\":[";

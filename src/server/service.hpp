@@ -20,11 +20,12 @@
 // solve_sdd against the same chain. Batching changes throughput, never
 // bytes. The load generator asserts exactly this end to end.
 //
-// Execution: batches are dispatched onto the service's persistent TaskPool
-// (support/task_pool.hpp). A loop started on a pool worker runs on that
-// pool, so the blocked kernels' parallel_for calls nest into the same
-// workers -- no oversubscription, and chunk-deterministic results
-// (identical across thread counts) by the substrate's contract.
+// Execution: the dispatcher thread runs each batch itself. The blocked
+// kernels' parallel loops fan out over the process-wide TaskPool
+// (support/parallel.hpp) like every other caller's, with chunk-deterministic
+// results (identical across thread counts) by the substrate's contract.
+// While a batch runs, arrivals queue; when it returns, the next batch admits
+// everything already queued for its graph.
 #pragma once
 
 #include <chrono>
@@ -40,7 +41,6 @@
 
 #include "linalg/multivector.hpp"
 #include "server/chain_registry.hpp"
-#include "support/task_pool.hpp"
 
 namespace spar::server {
 
@@ -50,14 +50,9 @@ struct ServiceOptions {
   /// Max microseconds the oldest request of a forming batch may queue
   /// before the batch is dispatched regardless of size.
   std::uint64_t deadline_us = 2000;
-  /// false = dispatch every request alone (the baseline the E15 bench
-  /// compares against); equivalent to max_batch = 1.
-  bool batching = true;
   double tolerance = 1e-8;             ///< per-solve target relative residual
   std::size_t max_iterations = 20000;  ///< per-solve PCG iteration cap
   RegistryOptions registry;            ///< chain cache budget + build options
-  /// TaskPool worker threads backing batch execution (clamped to >= 1).
-  int threads = 1;
 };
 
 /// Outcome of one submitted request, delivered to its callback.
@@ -96,7 +91,7 @@ class SolverService {
   void put_graph(const std::string& name, graph::Graph g);
 
   /// Enqueues one solve of L(name) x = rhs. The callback fires exactly once,
-  /// from a service thread, when the request's batch completes (or fails).
+  /// on the dispatcher thread, when the request's batch completes (or fails).
   /// Throws spar::Error after shutdown() has begun.
   void submit(const std::string& name, linalg::Vector rhs, Callback cb);
 
@@ -125,18 +120,15 @@ class SolverService {
   /// when stopping and drained.
   bool next_batch(Batch& out);
   /// Runs one batch: acquire chain, blocked solve, per-column callbacks.
-  void execute(Batch batch);
+  void execute(Batch& batch);
 
   ServiceOptions options_;
   ChainRegistry registry_;
-  support::par::TaskPool pool_;
 
   mutable std::mutex mu_;
-  std::condition_variable queue_cv_;    ///< arrivals wake the dispatcher
-  std::condition_variable drained_cv_;  ///< in-flight batches -> shutdown
+  std::condition_variable queue_cv_;  ///< arrivals wake the dispatcher
   std::deque<Pending> queue_;
   ServiceStats stats_;
-  std::size_t in_flight_ = 0;  ///< batches dispatched, not yet completed
   bool stopping_ = false;
 
   std::thread dispatcher_;

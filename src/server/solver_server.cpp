@@ -6,10 +6,13 @@
 // frames; responses for a connection are written in request order.
 //
 //   solver_server --socket=/tmp/spar.sock
-//     [--max-batch=16] [--deadline-us=2000] [--no-batching]
-//     [--chain-memory-budget=BYTES] [--threads=N (0..256)]
-//     [--tolerance=1e-8] [--graph=name=gen:grid:64x64 ...]
-//     [--tcp-port=P [--port-file=PATH]]
+//     [--max-batch=16] [--deadline-us=2000] [--chain-memory-budget=BYTES]
+//     [--tolerance=1e-8] [--max-iterations=20000]
+//     [--graph=name=gen:grid:64x64 ...] [--tcp-port=P [--port-file=PATH]]
+//
+// --max-batch=1 serves every request alone (the per-request baseline). An
+// option not listed here is an error. Solves run on the process-wide thread
+// pool (OMP_NUM_THREADS wide when set, else as wide as the CPUs it may use).
 //
 // --graph preloads name->spec pairs at startup (clients can also register
 // graphs over the wire with kRegisterGraph). A kShutdown frame from any
@@ -44,10 +47,6 @@ using server::MsgType;
 using server::PayloadReader;
 using server::PayloadWriter;
 using server::Socket;
-
-// --threads cap: a pool of a few hundred executors is far past any useful
-// width, and each one is an OS thread started before the first request.
-constexpr std::int64_t kMaxThreads = 256;
 
 graph::Graph load_spec(const std::string& spec) {
   if (spec.rfind("gen:", 0) == 0) return graph::generate_spec(spec);
@@ -193,6 +192,9 @@ class Connection {
 
 int run(int argc, char** argv) {
   support::Options opt(argc, argv);
+  // Flag and range checks come before any thread starts or socket binds.
+  opt.reject_unknown({"socket", "max-batch", "deadline-us", "tolerance", "max-iterations",
+                      "chain-memory-budget", "graph", "tcp-port", "port-file"});
   const std::string socket_path = opt.get("socket", "/tmp/spar_solver.sock");
 
   server::ServiceOptions service_opt;
@@ -200,14 +202,11 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(opt.get_int("max-batch", 16));
   service_opt.deadline_us =
       static_cast<std::uint64_t>(opt.get_int("deadline-us", 2000));
-  service_opt.batching = !opt.get_bool("no-batching", false);
   service_opt.tolerance = opt.get_double("tolerance", 1e-8);
   service_opt.max_iterations =
       static_cast<std::size_t>(opt.get_int("max-iterations", 20000));
   service_opt.registry.memory_budget_bytes =
       static_cast<std::size_t>(opt.get_int("chain-memory-budget", 0));
-  // Range checks come before any thread starts or socket binds.
-  service_opt.threads = static_cast<int>(opt.get_int_in("threads", 0, 0, kMaxThreads));
   const bool use_tcp = opt.has("tcp-port");
   const auto tcp_port = static_cast<std::uint16_t>(opt.get_int_in("tcp-port", 0, 0, 65535));
 
@@ -244,15 +243,13 @@ int run(int argc, char** argv) {
   }
   std::atomic<bool> stop{false};
   if (use_tcp) {
-    std::fprintf(stderr, "[solver_server] listening on 127.0.0.1:%u (max-batch=%zu deadline-us=%llu batching=%d)\n",
+    std::fprintf(stderr, "[solver_server] listening on 127.0.0.1:%u (max-batch=%zu deadline-us=%llu)\n",
                  static_cast<unsigned>(listener.port()), service_opt.max_batch,
-                 static_cast<unsigned long long>(service_opt.deadline_us),
-                 service_opt.batching ? 1 : 0);
+                 static_cast<unsigned long long>(service_opt.deadline_us));
   } else {
-    std::fprintf(stderr, "[solver_server] listening on %s (max-batch=%zu deadline-us=%llu batching=%d)\n",
+    std::fprintf(stderr, "[solver_server] listening on %s (max-batch=%zu deadline-us=%llu)\n",
                  socket_path.c_str(), service_opt.max_batch,
-                 static_cast<unsigned long long>(service_opt.deadline_us),
-                 service_opt.batching ? 1 : 0);
+                 static_cast<unsigned long long>(service_opt.deadline_us));
   }
 
   std::vector<std::thread> threads;

@@ -47,10 +47,12 @@ SparsifyRoundsResult parallel_sparsify_rounds(RoundContext& ctx,
     stats.t_used = sample.t_used;
     result.rounds.push_back(stats);
 
-    if (options.stop_when_saturated && stats.sampled_edges == 0 &&
-        stats.bundle_edges == stats.edges_before) {
-      break;  // bundle swallowed the whole graph; further rounds are identities
-    }
+    // The paper runs every planned round. The loop stops at the first round
+    // whose bundle kept every edge (none was sampled). A later round would
+    // draw fresh bundle coins and could sample again, so this can keep more
+    // edges than the full count would; on a forest every bundle is the
+    // whole graph and the two agree.
+    if (stats.sampled_edges == 0 && stats.bundle_edges == stats.edges_before) break;
   }
   return result;
 }

@@ -28,10 +28,6 @@ struct SparsifyOptions {
   BundleKind bundle_kind = BundleKind::kSpanner;
   std::uint64_t seed = 1;
   support::WorkCounter* work = nullptr;
-  /// Stop early once a round has no off-bundle edges left (the bundle is the
-  /// whole graph and further rounds are identities). The paper iterates a
-  /// fixed count; early exit changes nothing in the output.
-  bool stop_when_saturated = true;
 };
 
 struct RoundStats {

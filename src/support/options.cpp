@@ -1,5 +1,7 @@
 #include "support/options.hpp"
 
+#include <algorithm>
+
 namespace spar::support {
 
 Options::Options(int argc, char** argv) {
@@ -53,6 +55,12 @@ bool Options::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+void Options::reject_unknown(std::initializer_list<std::string_view> known) const {
+  for (const auto& [key, value] : values_)
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      throw Error("unknown option --" + key);
 }
 
 }  // namespace spar::support

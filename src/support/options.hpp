@@ -4,8 +4,10 @@
 
 #include <charconv>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hpp"
@@ -40,6 +42,11 @@ class Options {
                           std::int64_t hi) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
+
+  /// Throws an Error naming the first given --key (in sorted order) that is
+  /// not in `known`, so a misspelt or retired option fails instead of being
+  /// ignored.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
   /// Positional (non --key) arguments, in order.
   const std::vector<std::string>& positional() const { return positional_; }

@@ -2,11 +2,10 @@
 //
 // Every parallel loop in the library goes through this header, for three
 // reasons:
-//  * one engine: every loop runs on a TaskPool (support/task_pool.hpp) --
-//    the pool the calling thread is a worker of (the solver service's
-//    executors), else one process-wide pool created on first use. A
-//    one-thread budget, a disabled loop (ParOpts::enable) or a single chunk
-//    runs inline on the caller;
+//  * one engine: every loop runs on the process-wide TaskPool
+//    (support/task_pool.hpp), created on first use. A one-thread budget, a
+//    disabled loop (ParOpts::enable) or a single chunk runs inline on the
+//    caller;
 //  * determinism: parallel_reduce splits the range into chunks whose
 //    boundaries depend only on (range, grain) -- never on the thread count
 //    -- and combines partials in chunk order, so floating-point results are
@@ -34,18 +33,12 @@ int process_width() noexcept;
 /// The process-wide pool (process_width() - 1 workers plus the caller),
 /// started on first use; null when process_width() is 1.
 TaskPool* process_pool();
-/// The pool loops started on this thread run on.
-inline TaskPool* loop_pool() {
-  return tls_home_pool != nullptr ? tls_home_pool : process_pool();
-}
 }  // namespace detail
 
-/// Thread budget for loops started on this thread: the pool's width
-/// (parallel_width() on a pool worker, process_width() elsewhere), capped by
-/// set_num_threads / ThreadLimit.
+/// Thread budget for loops started on this thread: the process pool's width
+/// (process_width()), capped by set_num_threads / ThreadLimit.
 inline int max_threads() noexcept {
-  const TaskPool* home = detail::tls_home_pool;
-  const int width = home != nullptr ? home->parallel_width() : detail::process_width();
+  const int width = detail::process_width();
   const int budget = detail::tls_budget;
   return budget > 0 && budget < width ? budget : width;
 }
@@ -118,7 +111,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, F&& f,
     // starts late still takes a share. Iterations are independent, so the
     // grouping is unobservable.
     const std::int64_t blocks = std::min<std::int64_t>(n, 4 * threads);
-    detail::loop_pool()->run(blocks, threads, [&](std::int64_t b, int /*worker*/) {
+    detail::process_pool()->run(blocks, threads, [&](std::int64_t b, int /*worker*/) {
       for (std::int64_t i = begin + n * b / blocks; i < begin + n * (b + 1) / blocks; ++i) f(i);
     });
     return;
@@ -147,7 +140,7 @@ void parallel_chunks(std::int64_t begin, std::int64_t end, F&& f,
   if (threads > 1) {
     // Chunks are claimed dynamically (load balance); worker ids stay below
     // min(threads, chunks) <= max_threads().
-    detail::loop_pool()->run(chunks, threads, run_chunk);
+    detail::process_pool()->run(chunks, threads, run_chunk);
     return;
   }
   for (std::int64_t c = 0; c < chunks; ++c) run_chunk(c, 0);

@@ -22,7 +22,6 @@ constexpr unsigned kClockEvery = 64;  // spin iterations between clock reads
 enum State : std::uintptr_t {
   kIdle,      // polling its slot; claimable
   kAsleep,    // sleeping on the slot word; claimable, needs a wake-up
-  kBusy,      // running a detached task
   kHanded,    // | group: handed over, not started; the caller may take it back
   kRunning,   // | group: running it
   kJoinWait,  // | group: running it, and the caller sleeps until it leaves
@@ -57,49 +56,20 @@ TaskPool::~TaskPool() { stop_and_join(); }
 
 void TaskPool::stop_and_join() {
   stop_.store(true);
-  wake_sleepers(/*all=*/true);
-  for (std::thread& t : threads_) t.join();
-}
-
-void TaskPool::submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    detached_.push_back(std::move(fn));
-    pending_.fetch_add(1);
-  }
-  wake_sleepers(/*all=*/false);
-}
-
-void TaskPool::wake_sleepers(bool all) {
   for (int i = 0; i < workers_; ++i) {
     Slot& s = slots_[static_cast<std::size_t>(i)];
-    std::uintptr_t w = s.word.load();
-    if (!all && w == kIdle) return;  // a polling worker sees the task
-    if (w == kAsleep && s.word.compare_exchange_strong(w, kIdle)) {
-      s.word.notify_all();
-      if (!all) return;
-    }
+    std::uintptr_t w = kAsleep;
+    if (s.word.compare_exchange_strong(w, kIdle)) s.word.notify_all();
   }
-}
-
-void TaskPool::run_detached() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (detached_.empty()) return;
-    task = std::move(detached_.front());
-    detached_.pop_front();
-    pending_.fetch_sub(1);
-  }
-  task();  // a throwing detached task terminates; use async() for results
+  for (std::thread& t : threads_) t.join();
 }
 
 void TaskPool::park(Slot& slot) {
   std::uintptr_t w = kIdle;
   if (!slot.word.compare_exchange_strong(w, kAsleep)) return;  // claimed meanwhile
-  // Sequentially consistent with submit()'s increment and its scan of the
-  // slots: either the submitter sees this worker asleep, or it sees the task.
-  if (pending_.load() > 0 || stop_.load()) {
+  // Sequentially consistent with stop_and_join()'s store and its scan of the
+  // slots: either it sees this worker asleep and wakes it, or this sees stop_.
+  if (stop_.load()) {
     w = kAsleep;
     slot.word.compare_exchange_strong(w, kIdle);  // fails if claimed: fine
     return;
@@ -108,7 +78,6 @@ void TaskPool::park(Slot& slot) {
 }
 
 void TaskPool::worker_main(int index) {
-  detail::tls_home_pool = this;
   Slot& slot = slots_[static_cast<std::size_t>(index)];
   Clock::time_point idle_since = Clock::now();
   for (unsigned spins = 1;; ++spins) {
@@ -127,13 +96,6 @@ void TaskPool::worker_main(int index) {
       detail::tls_thread_id = 0;
       // The last touch of the group; after it the caller may return.
       if (slot.word.exchange(kIdle, kAcqRel) == (group | kJoinWait)) slot.word.notify_all();
-      idle_since = Clock::now();
-    } else if (pending_.load(kAcquire) > 0) {
-      // Detached tasks drain even during shutdown, so a service that
-      // enqueued work before stopping never loses it.
-      if (!slot.word.compare_exchange_strong(w, kBusy, kAcqRel)) continue;
-      run_detached();
-      slot.word.store(kIdle, std::memory_order_release);
       idle_since = Clock::now();
     } else if (stop_.load(kAcquire)) {
       return;
@@ -195,12 +157,6 @@ void TaskPool::dispatch(Group& g, int threads) {
   }
   detail::tls_thread_id = saved_id;
   if (g.error) std::rethrow_exception(g.error);
-}
-
-void TaskPool::run_indexed(std::int64_t count,
-                           const std::function<void(std::int64_t, int)>& body) {
-  const int budget = detail::tls_budget;
-  run(count, budget > 0 ? std::min(budget, parallel_width()) : parallel_width(), body);
 }
 
 }  // namespace spar::support::par

@@ -1,11 +1,7 @@
 // Persistent worker-thread pool: the one execution engine of libspar. Every
-// parallel_* loop of support/parallel.hpp runs on a TaskPool, and so do the
-// solver service's batch executors (src/server). A pool runs
-//
-//  * detached tasks / futures (submit() / async()) from a mutex-guarded
-//    queue -- the service's batch executors -- and
-//  * fork-join groups (run() / run_indexed()), with the calling thread
-//    taking part -- the engine behind every parallel loop.
+// parallel_* loop of support/parallel.hpp runs on the process-wide TaskPool
+// (support/parallel.cpp), the only pool a process constructs. A pool runs
+// fork-join groups (run()), with the calling thread taking part.
 //
 // Fork-join takes no lock. Each worker owns a cache-line slot whose word
 // holds its state and, while it has one, its group's address. A caller hands
@@ -26,23 +22,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 namespace spar::support::par {
 
-class TaskPool;
-
 namespace detail {
-/// Pool this thread is a worker of (null for other threads).
-inline thread_local TaskPool* tls_home_pool = nullptr;
 /// What thread_id() reports: the worker id inside a group body, else 0.
 inline thread_local int tls_thread_id = 0;
 /// Thread budget set by set_num_threads / ThreadLimit; 0 = no limit. A
@@ -56,9 +44,8 @@ class TaskPool {
   /// joins the ones already started and rethrows.
   explicit TaskPool(int threads);
 
-  /// Drains detached tasks, then stops and joins the workers. Destroying a
-  /// pool while another thread is inside run() / waiting on an async future
-  /// from it is a caller bug.
+  /// Stops and joins the workers. Destroying a pool while another thread is
+  /// inside run() is a caller bug.
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
@@ -66,27 +53,6 @@ class TaskPool {
 
   /// Number of worker threads.
   int workers() const noexcept { return workers_; }
-
-  /// Widest set of threads one group can execute on: the workers plus the
-  /// (helping) calling thread. A loop started on a worker of this pool sees
-  /// it as max_threads() when no smaller budget is set.
-  int parallel_width() const noexcept { return workers_ + 1; }
-
-  /// Enqueues a detached task. `fn` must not throw (a throwing detached task
-  /// calls std::terminate via the worker); use async() when the result or
-  /// the exception matters.
-  void submit(std::function<void()> fn);
-
-  /// Enqueues `fn` and returns a future for its result; exceptions propagate
-  /// through the future.
-  template <typename F>
-  auto async(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> out = task->get_future();
-    submit([task] { (*task)(); });
-    return out;
-  }
 
   /// Runs body(index, worker) for every index in [0, count) on at most
   /// `threads` threads -- the caller plus idle workers it claims -- and
@@ -113,11 +79,6 @@ class TaskPool {
     dispatch(g, threads);
   }
 
-  /// run() over [0, count) with the calling thread's budget capped at
-  /// parallel_width().
-  void run_indexed(std::int64_t count,
-                   const std::function<void(std::int64_t, int)>& body);
-
  private:
   /// One run() call in flight, on the caller's stack; it returns only after
   /// each helper was taken back unstarted or has left.
@@ -142,20 +103,14 @@ class TaskPool {
   /// first exception a body throws is kept and ends the claims.
   static void claim(Group& g, int worker);
   void worker_main(int index);
-  /// Runs one queued detached task, if any is left.
-  void run_detached();
-  /// Puts the worker of `slot` to sleep if nothing is pending.
+  /// Puts the worker of `slot` to sleep unless the pool is stopping.
   void park(Slot& slot);
-  /// Wakes sleeping workers: one (a task was queued) or all (shutdown).
-  void wake_sleepers(bool all);
+  /// Wakes every sleeping worker and joins them all.
   void stop_and_join();
 
   const int workers_;
   std::unique_ptr<Slot[]> slots_;
-  alignas(64) std::atomic<int> pending_{0};  ///< queued detached tasks
   std::atomic<bool> stop_{false};
-  std::mutex mu_;  ///< guards detached_
-  std::deque<std::function<void()>> detached_;
   std::vector<std::thread> threads_;
 };
 

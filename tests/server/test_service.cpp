@@ -17,6 +17,7 @@
 
 #include "graph/generators.hpp"
 #include "solver/solver.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace spar::server {
@@ -145,14 +146,13 @@ TEST(SolverService, WrongRhsSizeFailsTheRequestNotTheService) {
 }
 
 TEST(SolverService, BatchingDisabledServesSingletonsWithSameBits) {
-  // Same request stream against a batching and a non-batching service:
-  // batch_cols differ, bytes must not.
+  // Same request stream against a batching service and one with
+  // max_batch = 1: batch_cols differ, bytes must not.
   const graph::Graph g = graph::grid2d(9, 12);
   const std::size_t n = g.num_vertices();
-  auto run = [&](bool batching) {
+  auto run = [&](std::size_t max_batch) {
     ServiceOptions opt;
-    opt.batching = batching;
-    opt.max_batch = 8;
+    opt.max_batch = max_batch;
     opt.deadline_us = 20000;
     SolverService service(opt);
     service.put_graph("g", graph::grid2d(9, 12));
@@ -170,8 +170,8 @@ TEST(SolverService, BatchingDisabledServesSingletonsWithSameBits) {
     got.cv.wait(lock, [&] { return done.load() == 6; });
     return ordered;
   };
-  const auto batched = run(true);
-  const auto singles = run(false);
+  const auto batched = run(8);
+  const auto singles = run(1);
   for (std::size_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(batched[i].ok && singles[i].ok);
     EXPECT_EQ(singles[i].batch_cols, 1u);
@@ -232,13 +232,13 @@ TEST(SolverService, StatsJsonEscapesControlCharactersInGraphNames) {
 }
 
 TEST(SolverService, PoolWidthDoesNotChangeResponseBits) {
-  // Batches execute on the service's TaskPool (nested parallel loops
-  // dispatch to the same workers); results must be identical across pool
-  // widths by the substrate's chunk-determinism contract.
-  const std::size_t n = 10 * 14;
-  auto run = [&](int threads) {
+  // The dispatcher solves each batch at the process pool's full width;
+  // replies must equal a one-thread local solve_sdd bit for bit by the
+  // substrate's chunk-determinism contract.
+  const graph::Graph g = graph::grid2d(10, 14);
+  const std::size_t n = g.num_vertices();
+  const auto served = [&] {
     ServiceOptions opt;
-    opt.threads = threads;
     opt.deadline_us = 10000;
     SolverService service(opt);
     service.put_graph("g", graph::grid2d(10, 14));
@@ -256,13 +256,19 @@ TEST(SolverService, PoolWidthDoesNotChangeResponseBits) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return done.load() == 4; });
     return ordered;
-  };
-  const auto narrow = run(1);
-  const auto wide = run(3);
+  }();
+
+  const support::par::ThreadLimit one_thread(1);
+  const solver::SDDMatrix m(g);
+  solver::SolveOptions sopt;
+  sopt.tolerance = ServiceOptions{}.tolerance;
+  const solver::InverseChain chain(m, RegistryOptions{}.chain);
   for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(narrow[i].ok && wide[i].ok);
-    EXPECT_EQ(std::memcmp(narrow[i].solution.data(), wide[i].solution.data(),
-                          narrow[i].solution.size() * sizeof(double)),
+    ASSERT_TRUE(served[i].ok) << served[i].error;
+    const auto local = solver::solve_sdd(m, chain, test_rhs(n, 60 + i), sopt);
+    ASSERT_EQ(served[i].solution.size(), local.solution.size());
+    EXPECT_EQ(std::memcmp(served[i].solution.data(), local.solution.data(),
+                          local.solution.size() * sizeof(double)),
               0)
         << "pool width changed bytes (request " << i << ")";
   }

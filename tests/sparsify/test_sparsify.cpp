@@ -91,16 +91,6 @@ TEST(ParallelSparsify, SaturationStopsEarly) {
   EXPECT_TRUE(result.sparsifier.same_edges(g));
 }
 
-TEST(ParallelSparsify, NoSaturationStopWhenDisabled) {
-  const Graph g = graph::path_graph(64);
-  SparsifyOptions opt;
-  opt.rho = 16.0;
-  opt.t = 1;
-  opt.stop_when_saturated = false;
-  const SparsifyResult result = parallel_sparsify(g, opt);
-  EXPECT_EQ(result.rounds.size(), result.rounds_planned);
-}
-
 TEST(ParallelSparsify, RejectsBadParameters) {
   const Graph g = graph::path_graph(4);
   SparsifyOptions opt;

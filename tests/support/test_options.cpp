@@ -60,5 +60,16 @@ TEST(Options, BoolAcceptsSeveralSpellings) {
   EXPECT_FALSE(make({"--a=no"}).get_bool("a", true));
 }
 
+TEST(Options, RejectUnknownNamesTheStrayFlag) {
+  const Options opt = make({"--n=5", "--max-bach=8", "--quick", "input.txt"});
+  EXPECT_NO_THROW(opt.reject_unknown({"n", "max-bach", "quick"}));
+  try {
+    opt.reject_unknown({"n", "max-batch", "quick"});
+    FAIL() << "an unknown flag must throw";
+  } catch (const spar::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--max-bach"), std::string::npos) << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace spar::support

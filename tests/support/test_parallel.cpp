@@ -12,6 +12,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 namespace spar::support {
@@ -262,40 +263,40 @@ TEST(ThreadLimit, RestoresPreviousBudget) {
 }
 
 TEST(ThreadLimit, CapsLoopsStartedInsidePoolTasks) {
-  // The budget is per thread: set inside a pool task, it caps the loops that
-  // task starts at t threads. Ids stay below max_threads() (so WorkerLocal
-  // indexing holds), and each scope restores the budget it found.
-  par::TaskPool pool(3);
+  // The budget is per thread: set on a second external caller of the process
+  // pool, it caps the loops that thread starts at min(t, process width)
+  // threads. Ids stay below max_threads() (so WorkerLocal indexing holds),
+  // and each scope restores the budget it found.
+  const int width = par::detail::process_width();
   const int outer_before = par::max_threads();
   for (const int t : {1, 2, 3}) {
     std::mutex mu;
     std::set<int> ids;
     bool ids_in_range = true;
     int before = 0, inside = 0, after = 0;
-    pool.async([&] {
-          before = par::max_threads();
-          {
-            par::ThreadLimit limit(t);
-            inside = par::max_threads();
-            par::parallel_chunks(
-                0, 256,
-                [&](std::int64_t, std::int64_t, std::int64_t, int worker) {
-                  // Long enough per chunk that idle workers join in.
-                  const auto until =
-                      std::chrono::steady_clock::now() + std::chrono::microseconds(20);
-                  while (std::chrono::steady_clock::now() < until) {
-                  }
-                  std::lock_guard<std::mutex> lk(mu);
-                  ids.insert(worker);
-                  if (worker < 0 || worker >= inside || par::thread_id() != worker)
-                    ids_in_range = false;
-                },
-                {.grain = 1});
-          }
-          after = par::max_threads();
-        })
-        .get();
-    EXPECT_EQ(inside, t);
+    std::thread([&] {
+      before = par::max_threads();
+      {
+        par::ThreadLimit limit(t);
+        inside = par::max_threads();
+        par::parallel_chunks(
+            0, 256,
+            [&](std::int64_t, std::int64_t, std::int64_t, int worker) {
+              // Long enough per chunk that idle workers join in.
+              const auto until =
+                  std::chrono::steady_clock::now() + std::chrono::microseconds(20);
+              while (std::chrono::steady_clock::now() < until) {
+              }
+              std::lock_guard<std::mutex> lk(mu);
+              ids.insert(worker);
+              if (worker < 0 || worker >= inside || par::thread_id() != worker)
+                ids_in_range = false;
+            },
+            {.grain = 1});
+      }
+      after = par::max_threads();
+    }).join();
+    EXPECT_EQ(inside, std::min(t, width));
     EXPECT_LE(ids.size(), static_cast<std::size_t>(t)) << t << " threads";
     EXPECT_TRUE(ids_in_range) << t << " threads";
     EXPECT_EQ(after, before) << t << " threads";

@@ -1,21 +1,19 @@
-// TaskPool: the worker pool behind every parallel loop and the solver
-// service.
+// TaskPool: the worker pool behind every parallel loop.
 //
 // The contracts under test:
-//  * run_indexed executes every index exactly once, with the caller helping;
-//  * nesting is deadlock-free: a task body may itself call run_indexed /
-//    parallel_for, which dispatches onto the SAME workers;
-//  * pool execution keeps the substrate's determinism contract: loops run
-//    inside a pool task (on that pool) give the bits of a one-thread run;
-//  * exceptions from task bodies propagate to the caller of run_indexed;
-//  * thread_id() stays in [0, parallel_width) inside a loop body, so
+//  * run() executes every index exactly once, with the caller helping;
+//  * nesting is deadlock-free: a group body may itself call run() /
+//    parallel_for, which claims idle workers and runs the rest inline;
+//  * the process-wide pool keeps the substrate's determinism contract: loops
+//    started by a second external caller give the bits of a one-thread run;
+//  * exceptions from group bodies propagate to the caller of run();
+//  * thread_id() stays below the group's width inside a loop body, so
 //    WorkerLocal slot indexing is race-free under the pool.
 #include "support/task_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -28,20 +26,19 @@ namespace {
 TEST(TaskPool, RunIndexedCoversEveryIndexOnce) {
   par::TaskPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.run_indexed(1000, [&](std::int64_t i, int) { hits[i].fetch_add(1); });
+  pool.run(1000, pool.workers() + 1, [&](std::int64_t i, int) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(TaskPool, ThreadCountRequestClampsToOneWorker) {
-  // A pool always has at least one worker: detached tasks (submit/async)
-  // need SOMEONE to run them even when the caller asked for zero.
+  // A request below one worker is clamped, not rejected: the pool then
+  // behaves as any one-worker pool.
   par::TaskPool pool(0);
   EXPECT_EQ(pool.workers(), 1);
-  EXPECT_EQ(pool.parallel_width(), 2);
   std::vector<std::atomic<int>> hits(64);
-  pool.run_indexed(64, [&](std::int64_t i, int worker) {
+  pool.run(64, pool.workers() + 1, [&](std::int64_t i, int worker) {
     EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, pool.parallel_width());
+    EXPECT_LT(worker, pool.workers() + 1);
     hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -50,11 +47,20 @@ TEST(TaskPool, ThreadCountRequestClampsToOneWorker) {
 TEST(TaskPool, NestedRunIndexedDoesNotDeadlock) {
   par::TaskPool pool(2);
   std::atomic<int> total{0};
-  pool.run_indexed(4, [&](std::int64_t, int) {
+  pool.run(4, pool.workers() + 1, [&](std::int64_t, int) {
     // Nested dispatch onto the same pool: workers help instead of blocking.
-    pool.run_indexed(8, [&](std::int64_t, int) { total.fetch_add(1); });
+    pool.run(8, pool.workers() + 1, [&](std::int64_t, int) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+/// Runs `fn` on a thread of its own -- a second external caller of the
+/// process pool, beside the test's main thread -- and returns its result.
+template <typename F>
+auto on_new_thread(F fn) {
+  decltype(fn()) out{};
+  std::thread([&] { out = fn(); }).join();
+  return out;
 }
 
 TEST(TaskPool, ParallelForUnderPoolIsBitIdenticalToSerial) {
@@ -70,12 +76,13 @@ TEST(TaskPool, ParallelForUnderPoolIsBitIdenticalToSerial) {
     par::ThreadLimit limit(1);
     return fill();
   }();
-  par::TaskPool pool(3);
-  // A pool worker's loops run on its own pool, at the pool's width.
-  const std::vector<double> pooled = pool.async([&] {
-                                           EXPECT_EQ(par::max_threads(), pool.parallel_width());
-                                           return fill();
-                                         }).get();
+  // A new thread's loops run on the process pool, at its full width.
+  int width = 0;
+  const std::vector<double> pooled = on_new_thread([&] {
+    width = par::max_threads();
+    return fill();
+  });
+  EXPECT_EQ(width, par::detail::process_width());
   EXPECT_EQ(pooled, serial);
 }
 
@@ -95,8 +102,7 @@ TEST(TaskPool, ParallelReduceUnderPoolMatchesSerialExactly) {
     par::ThreadLimit limit(1);
     return reduce();
   }();
-  par::TaskPool pool(4);
-  const double pooled = pool.async(reduce).get();
+  const double pooled = on_new_thread(reduce);
   // Chunk-order combines => bit-identical, not merely approximately equal.
   EXPECT_EQ(pooled, serial);
 }
@@ -105,15 +111,16 @@ TEST(TaskPool, ConcurrentCallersEachCompleteTheirGroups) {
   // Several external threads share one pool's workers: each group still runs
   // every index once, and each caller's worker ids stay below its width.
   par::TaskPool pool(3);
+  const int width = pool.workers() + 1;
   std::vector<std::thread> callers;
   std::vector<std::int64_t> sums(4, 0);
   std::atomic<bool> bad{false};
   for (std::size_t t = 0; t < sums.size(); ++t) {
     callers.emplace_back([&, t] {
       for (int round = 0; round < 50; ++round) {
-        std::vector<std::atomic<std::int64_t>> part(static_cast<std::size_t>(pool.parallel_width()));
-        pool.run_indexed(200, [&](std::int64_t i, int worker) {
-          if (worker < 0 || worker >= pool.parallel_width()) bad.store(true);
+        std::vector<std::atomic<std::int64_t>> part(static_cast<std::size_t>(width));
+        pool.run(200, width, [&](std::int64_t i, int worker) {
+          if (worker < 0 || worker >= width) bad.store(true);
           part[static_cast<std::size_t>(worker)].fetch_add(i);
         });
         for (const auto& p : part) sums[t] += p.load();
@@ -127,66 +134,47 @@ TEST(TaskPool, ConcurrentCallersEachCompleteTheirGroups) {
 
 TEST(TaskPool, ThreadIdStaysInsideParallelWidth) {
   par::TaskPool pool(3);
+  const int width = pool.workers() + 1;
   std::atomic<bool> bad{false};
-  pool.run_indexed(256, [&](std::int64_t, int worker) {
+  pool.run(256, width, [&](std::int64_t, int worker) {
     const int id = par::thread_id();
-    if (id < 0 || id >= pool.parallel_width()) bad.store(true);
-    if (worker < 0 || worker >= pool.parallel_width()) bad.store(true);
+    if (id < 0 || id >= width) bad.store(true);
+    if (worker < 0 || worker >= width) bad.store(true);
   });
   EXPECT_FALSE(bad.load());
 }
 
 TEST(TaskPool, BodyExceptionPropagatesToCaller) {
   par::TaskPool pool(2);
-  EXPECT_THROW(
-      pool.run_indexed(100,
-                       [&](std::int64_t i, int) {
-                         if (i == 37) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
+  const int width = pool.workers() + 1;
+  EXPECT_THROW(pool.run(100, width,
+                        [&](std::int64_t i, int) {
+                          if (i == 37) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
   // The pool survives a throwing group and stays usable.
   std::atomic<int> ok{0};
-  pool.run_indexed(10, [&](std::int64_t, int) { ok.fetch_add(1); });
+  pool.run(10, width, [&](std::int64_t, int) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 10);
 }
 
-TEST(TaskPool, AsyncReturnsValueAndRunsOnWorker) {
-  par::TaskPool pool(2);
-  auto f = pool.async([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(TaskPool, SubmitRunsDetachedTasks) {
-  par::TaskPool pool(2);
-  std::atomic<int> ran{0};
-  std::promise<void> done;
-  auto fut = done.get_future();
-  for (int i = 0; i < 8; ++i)
-    pool.submit([&] {
-      if (ran.fetch_add(1) + 1 == 8) done.set_value();
-    });
-  fut.wait();
-  EXPECT_EQ(ran.load(), 8);
-}
-
 TEST(TaskPool, WorkerLocalSlotsDoNotCollideUnderPool) {
-  par::TaskPool pool(3);
   // One scratch accumulator per worker id; slot ownership is the substrate's
   // "worker id is stable within a call" guarantee, provided by the pool.
-  // Run inside a pool task, so the loop dispatches onto this pool.
-  pool.async([&] {
-        par::WorkerLocal<std::uint64_t> counts;
-        ASSERT_EQ(counts.size(), static_cast<std::size_t>(pool.parallel_width()));
-        std::atomic<std::uint64_t> grand{0};
-        par::parallel_chunks(0, 10000,
-                             [&](std::int64_t cb, std::int64_t ce, std::int64_t, int worker) {
-                               counts.local(worker, [] { return std::uint64_t{0}; }) +=
-                                   static_cast<std::uint64_t>(ce - cb);
-                               grand.fetch_add(static_cast<std::uint64_t>(ce - cb));
-                             });
-        EXPECT_EQ(grand.load(), 10000u);
-      })
-      .get();
+  // Run on a second external caller, so the loop dispatches onto the process
+  // pool beside the main thread.
+  std::thread([&] {
+    par::WorkerLocal<std::uint64_t> counts;
+    ASSERT_EQ(counts.size(), static_cast<std::size_t>(par::detail::process_width()));
+    std::atomic<std::uint64_t> grand{0};
+    par::parallel_chunks(0, 10000,
+                         [&](std::int64_t cb, std::int64_t ce, std::int64_t, int worker) {
+                           counts.local(worker, [] { return std::uint64_t{0}; }) +=
+                               static_cast<std::uint64_t>(ce - cb);
+                           grand.fetch_add(static_cast<std::uint64_t>(ce - cb));
+                         });
+    EXPECT_EQ(grand.load(), 10000u);
+  }).join();
 }
 
 }  // namespace
