@@ -3,9 +3,10 @@
 // The fill-in cliff: every Peng-Spielman level squares its graph (vertices at
 // hop distance 2 become adjacent), so the product A D^{-1} A is the largest
 // object the whole solver ever touches -- the dense build materializes it per
-// level before sparsifying it back down. ChainOptions::squaring = kStreamed
-// instead fuses the sparsifier into the SpGEMM: the product streams through a
-// merge-and-reduce tower in row blocks and is never resident.
+// level before sparsifying it back down. ChainOptions::streamed_fill_threshold
+// = 0 instead fuses the sparsifier into the SpGEMM at every level: the product
+// streams through a merge-and-reduce tower in row blocks and is never
+// resident. SIZE_MAX keeps every level dense.
 //
 // Table A: chain build per workload and mode (dense / streamed at each thread
 // count), wall-clock, stored size, and the peak resident edges of the worst
@@ -25,6 +26,7 @@
 // Wall-clock is reported, never asserted.
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -172,7 +174,7 @@ int main(int argc, char** argv) {
     BuildRecord dense;
     if (run_dense) {
       solver::ChainOptions copt = base;
-      copt.squaring = solver::SquaringMode::kDense;
+      copt.streamed_fill_threshold = std::numeric_limits<std::size_t>::max();
       dense = run_mode(m, copt, tol);
       ok = ok && dense.converged;
       table.add_row({w.name, "dense", "-", support::Table::cell(dense.build_ms),
@@ -183,7 +185,7 @@ int main(int argc, char** argv) {
     }
 
     solver::ChainOptions copt = base;
-    copt.squaring = solver::SquaringMode::kStreamed;
+    copt.streamed_fill_threshold = 0;
     std::uint64_t first_hash = 0;
     BuildRecord streamed;
     for (const int threads : {1, 2, 4}) {

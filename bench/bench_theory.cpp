@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "sparsify/presets.hpp"
+#include "sparsify/sample.hpp"
 
 using namespace spar;
 

@@ -19,6 +19,11 @@ using linalg::Vector;
 
 namespace {
 
+// Block width k of the inverse-power subspace. Width 2 separates lambda_2
+// from lambda_3 via the Rayleigh-Ritz projection, which is what makes the
+// iteration robust on near-degenerate spectra (grids).
+constexpr std::size_t kBlock = 2;
+
 // Modified Gram-Schmidt over a small set of long vectors. Serial over the
 // O(k^2) pair loop; each dot/axpy is the chunk-ordered deterministic
 // primitive, so the output basis is thread-count independent.
@@ -83,7 +88,7 @@ FiedlerReport fiedler_vector(const solver::SDDMatrix& m,
   SPAR_CHECK(n >= 2, "fiedler_vector: need at least 2 vertices");
   SPAR_CHECK(m.is_singular(),
              "fiedler_vector: expected a pure graph Laplacian (no slack)");
-  const std::size_t k = std::clamp<std::size_t>(options.block, 1, n - 1);
+  const std::size_t k = std::min(kBlock, n - 1);
 
   // Seeded mean-free starting block; per-column generators, serial fills.
   std::vector<Vector> v(k);

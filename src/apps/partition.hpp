@@ -2,7 +2,7 @@
 // application from the paper's introduction, grown into a real workload).
 //
 // The Fiedler pair (lambda_2, v_2) of a connected graph Laplacian is computed
-// by BLOCK INVERSE-POWER iteration: a block of k mean-free vectors is
+// by BLOCK INVERSE-POWER iteration: a block of k = 2 mean-free vectors is
 // repeatedly mapped through L^+ (each step is ONE batched chain-PCG call,
 // solver/solve_sdd_multi, against a single resident InverseChain built once
 // and reused across every iteration), re-orthonormalized, and refined by a
@@ -39,10 +39,6 @@ namespace spar::apps {
 
 /// Knobs of the block inverse-power Fiedler solver.
 struct FiedlerOptions {
-  /// Block width k of the inverse-power subspace (>= 1). Width 2 separates
-  /// lambda_2 from lambda_3 via the Rayleigh-Ritz projection, which is what
-  /// makes the iteration robust on near-degenerate spectra (grids).
-  std::size_t block = 2;
   /// Outer inverse-power iterations (each is one batched chain solve).
   std::size_t max_iterations = 48;
   /// Stop when the Fiedler pair's relative eigenresidual
@@ -66,7 +62,7 @@ struct FiedlerOptions {
 struct FiedlerReport {
   linalg::Vector vector;      ///< sign-fixed unit Fiedler vector
   double value = 0.0;         ///< Ritz estimate of lambda_2
-  double value_next = 0.0;    ///< Ritz estimate of lambda_3 (0 when block < 2)
+  double value_next = 0.0;    ///< Ritz estimate of lambda_3 (0 when n == 2)
   std::size_t iterations = 0; ///< inverse-power steps run
   bool converged = false;     ///< eigenresidual met tolerance
   double residual = 0.0;      ///< achieved ||L v - theta v|| / theta

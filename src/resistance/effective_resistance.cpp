@@ -18,6 +18,14 @@ using graph::Vertex;
 using linalg::DenseMatrix;
 using linalg::Vector;
 
+namespace {
+
+// Each probe's Laplacian solve: relative residual target and iteration cap.
+constexpr double kCgTolerance = 1e-7;
+constexpr std::size_t kCgMaxIterations = 4000;
+
+}  // namespace
+
 DenseMatrix laplacian_pinv(const Graph& g) {
   SPAR_CHECK(graph::is_connected(graph::CSRGraph(g)),
              "laplacian_pinv: graph must be connected");
@@ -99,8 +107,8 @@ Vector approx_effective_resistances(const Graph& g,
         },
         {.enable = width > 1});
     linalg::CGOptions cg;
-    cg.tolerance = options.cg_tolerance;
-    cg.max_iterations = options.cg_max_iterations;
+    cg.tolerance = kCgTolerance;
+    cg.max_iterations = kCgMaxIterations;
     cg.project_constant = true;
     linalg::blocked_conjugate_gradient(op, rhs, z, cg);
     // Accumulate in ascending probe order (the block loop preserves it), so

@@ -37,8 +37,6 @@ linalg::DenseMatrix laplacian_pinv(const graph::Graph& g);
 struct ApproxResistanceOptions {
   double epsilon = 0.3;        ///< JL distortion target
   std::uint64_t seed = 7;      ///< seed of the +-1 projection coins
-  double cg_tolerance = 1e-7;  ///< relative residual per Laplacian solve
-  std::size_t cg_max_iterations = 4000;  ///< iteration cap per solve
   /// Number of random projections; 0 = auto: ceil(8 log n / eps^2).
   std::size_t num_probes = 0;
   /// Probes solved per blocked CG call (the JL sketch is a multi-RHS solve;
@@ -51,7 +49,8 @@ struct ApproxResistanceOptions {
 /// Spielman-Srivastava approximate effective resistances for every edge.
 /// Expected multiplicative error (1 +- eps) per edge w.h.p. The O(log n /
 /// eps^2) probe solves run through the batched blocked-CG path in blocks of
-/// `block_size` columns.
+/// `block_size` columns, each to relative residual 1e-7 (at most 4000
+/// iterations).
 ///
 /// Connectivity is NOT required (unlike the exact_* path): every sketch RHS
 /// is a signed incidence accumulation B^T W^{1/2} q, which is mean-free

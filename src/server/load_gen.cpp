@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -266,8 +267,10 @@ int run(int argc, char** argv) {
   const std::string spec = opt.get("spec", quick ? "gen:grid:24x24" : "gen:grid:64x64");
   const std::string name = opt.get("graph", "g");
   const std::uint64_t seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
   const std::size_t requests =
-      static_cast<std::size_t>(opt.get_int("requests", quick ? 48 : 200));
+      static_cast<std::size_t>(opt.get_int_in("requests", quick ? 48 : 200, 1, kNoCap));
+  const std::size_t warmup = static_cast<std::size_t>(opt.get_int_in("warmup", 1, 0, kNoCap));
   const double tolerance = opt.get_double("tolerance", 1e-8);
   const bool verify = !opt.get_bool("no-verify", false);
   const auto tcp_port = static_cast<std::uint16_t>(opt.get_int_in("tcp-port", 0, 0, 65535));
@@ -305,8 +308,6 @@ int run(int argc, char** argv) {
 
   // Warmup: force the server-side chain build before any timed level.
   {
-    const std::size_t warmup =
-        static_cast<std::size_t>(opt.get_int("warmup", 1));
     std::mutex write_mu;
     for (std::size_t i = 0; i < warmup; ++i)
       send_solve(sock, write_mu, name, i,

@@ -26,6 +26,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -197,16 +198,17 @@ int run(int argc, char** argv) {
                       "chain-memory-budget", "graph", "tcp-port", "port-file"});
   const std::string socket_path = opt.get("socket", "/tmp/spar_solver.sock");
 
+  constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
   server::ServiceOptions service_opt;
   service_opt.max_batch =
-      static_cast<std::size_t>(opt.get_int("max-batch", 16));
+      static_cast<std::size_t>(opt.get_int_in("max-batch", 16, 1, kNoCap));
   service_opt.deadline_us =
-      static_cast<std::uint64_t>(opt.get_int("deadline-us", 2000));
+      static_cast<std::uint64_t>(opt.get_int_in("deadline-us", 2000, 0, kNoCap));
   service_opt.tolerance = opt.get_double("tolerance", 1e-8);
   service_opt.max_iterations =
-      static_cast<std::size_t>(opt.get_int("max-iterations", 20000));
+      static_cast<std::size_t>(opt.get_int_in("max-iterations", 20000, 1, kNoCap));
   service_opt.registry.memory_budget_bytes =
-      static_cast<std::size_t>(opt.get_int("chain-memory-budget", 0));
+      static_cast<std::size_t>(opt.get_int_in("chain-memory-budget", 0, 0, kNoCap));
   const bool use_tcp = opt.has("tcp-port");
   const auto tcp_port = static_cast<std::uint16_t>(opt.get_int_in("tcp-port", 0, 0, 65535));
 

@@ -1,9 +1,5 @@
 #include "solver/chain.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <string>
-
 #include "solver/squaring.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -12,10 +8,23 @@ namespace spar::solver {
 
 using linalg::Vector;
 
+namespace {
+
+// Stop once adjacency dominance gamma = max_i rowsum(A)/D drops to this:
+// Jacobi converges at rate gamma on the last level.
+constexpr double kGammaStop = 0.25;
+// Sparsify a dense-squared level only when its graph part has more than
+// kEdgeFactor * n edges (the "threshold of applicability" m').
+constexpr double kEdgeFactor = 4.0;
+// Damped Jacobi sweeps that solve the last level, where gamma is small
+// enough that a few sweeps handle the remaining system.
+constexpr std::size_t kLastLevelJacobiSteps = 12;
+
+}  // namespace
+
 InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
   SPAR_CHECK(options.max_levels >= 1,
              "InverseChain: ChainOptions::max_levels must be >= 1 (got 0)");
-  jacobi_steps_ = options.last_level_jacobi_steps;
   project_constant_ = m.is_singular();
 
   SDDMatrix current = std::move(m);
@@ -25,9 +34,9 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
     info.gamma = adjacency_dominance(current);
 
     Level stored;
-    stored.matrix = current;
+    stored.diagonal = current.diagonal();
     stored.adjacency = current.adjacency_csr();
-    const Vector& d = current.diagonal();
+    const Vector& d = stored.diagonal;
     stored.inv_diagonal.resize(d.size());
     for (std::size_t i = 0; i < d.size(); ++i) {
       SPAR_CHECK(d[i] > 0.0, "InverseChain: zero diagonal");
@@ -40,31 +49,13 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
     // Singular Laplacians keep gamma == 1 (the nullspace direction never
     // decays), so they terminate by max_levels / saturation instead; the
     // chain is then used as a PCG preconditioner with constant projection.
-    if (info.gamma <= options.gamma_stop) break;
+    if (info.gamma <= kGammaStop) break;
     if (current.graph_part().num_edges() == 0) break;
 
     // Pick the squaring path BEFORE committing product memory: the symbolic
-    // fill projection is O(nnz) and is what both the guard and auto mode act
-    // on. kStreamed needs no projection (square_streamed plans its own).
-    std::size_t projected = 0;
-    bool use_streamed = options.squaring == SquaringMode::kStreamed;
-    if (options.squaring == SquaringMode::kAuto ||
-        (options.squaring == SquaringMode::kDense && options.max_level_fill > 0)) {
-      projected = projected_square_fill(current);
-    }
-    if (options.squaring == SquaringMode::kAuto) {
-      std::size_t limit = options.streamed_fill_threshold;
-      if (options.max_level_fill > 0) limit = std::min(limit, options.max_level_fill);
-      use_streamed = projected > limit;
-    } else if (options.squaring == SquaringMode::kDense &&
-               options.max_level_fill > 0 && projected > options.max_level_fill) {
-      throw spar::Error(
-          "InverseChain: level " + std::to_string(level) + " square projects " +
-          std::to_string(projected) + " product entries, over the max_level_fill "
-          "budget of " + std::to_string(options.max_level_fill) +
-          "; raise the budget or set ChainOptions::squaring = kStreamed/kAuto "
-          "to build this level in bounded memory");
-    }
+    // fill projection is O(nnz).
+    const std::size_t projected = projected_square_fill(current);
+    const bool use_streamed = projected > options.streamed_fill_threshold;
 
     SquaringStats sq_stats;
     SDDMatrix squared;
@@ -88,17 +79,17 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
       squared = square(current, &sq_stats);
     }
     info_.back().edges_after_square = sq_stats.output_edges;
-    info_.back().projected_fill = use_streamed ? sq_stats.projected_fill : projected;
+    info_.back().projected_fill = projected;
     info_.back().streamed_square = use_streamed;
     info_.back().peak_resident_edges = sq_stats.peak_resident_edges;
     info_.back().sparsify_passes = sq_stats.sparsify_passes;
     info_.back().epsilon_budget_used = sq_stats.epsilon_budget_used;
 
     // Section 4: bring the level back toward its original size whenever it
-    // exceeds the threshold of applicability m' = edge_factor * n. Streamed
+    // exceeds the threshold of applicability m' = kEdgeFactor * n. Streamed
     // levels come out of the tower already sparsified at this level's budget.
     const auto threshold = static_cast<std::size_t>(
-        options.edge_factor * static_cast<double>(squared.dimension()));
+        kEdgeFactor * static_cast<double>(squared.dimension()));
     if (!use_streamed && squared.graph_part().num_edges() > threshold) {
       sparsify::SparsifyOptions spopt;
       spopt.epsilon = options.level_epsilon;
@@ -115,8 +106,9 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
 }
 
 std::size_t InverseChain::total_nnz() const {
+  // Two entries per edge plus the diagonal, as SDDMatrix::nnz() counts them.
   std::size_t total = 0;
-  for (const Level& level : levels_) total += level.matrix.nnz();
+  for (const ChainLevelInfo& info : info_) total += 2 * info.edges + dimension();
   return total;
 }
 
@@ -180,7 +172,7 @@ void InverseChain::apply_tail(Width width, const linalg::MultiVector& b,
   // The tail computes M x as d o x - A x from the stored adjacency CSR and
   // diagonal: one CSR traversal per sweep serves all k columns, which
   // SDDMatrix::apply (column by column) would not.
-  const Vector& d = lvl.matrix.diagonal();
+  const Vector& d = lvl.diagonal;
 
   // Damped Jacobi on M x = b starting from x = D^{-1} b:
   //   x <- x + D^{-1}(b - M x)
@@ -192,7 +184,7 @@ void InverseChain::apply_tail(Width width, const linalg::MultiVector& b,
 #pragma GCC unroll 1
     for (std::size_t j = 0; j < k; ++j) px[i * k + j] = inv_d * pb[i * k + j];
   }
-  for (std::size_t step = 0; step < jacobi_steps_; ++step) {
+  for (std::size_t step = 0; step < kLastLevelJacobiSteps; ++step) {
     lvl.adjacency.multiply(x, ax);
     for (std::size_t i = 0; i < n; ++i) {
       const double inv_d = lvl.inv_diagonal[i];

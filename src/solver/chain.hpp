@@ -16,12 +16,11 @@
 // to a block.
 //
 // The squaring step is where fill-in explodes (A D^{-1} A connects every
-// 2-hop pair). ChainOptions::squaring picks how each level absorbs it:
-// materialize the exact product then sparsify (kDense), or fuse the
-// sparsifier into the SpGEMM so the product streams through a bounded-memory
-// tower and is never resident (kStreamed; kAuto switches by projected fill).
-// ChainOptions::max_level_fill turns the projection into a hard guard that
-// refuses a dense square before any product memory is committed.
+// 2-hop pair). One rule picks how each level absorbs it, from the level's
+// symbolic fill projection and before any product memory is committed: up to
+// ChainOptions::streamed_fill_threshold the exact product is materialized and
+// then sparsified; past it the sparsifier is fused into the SpGEMM, so the
+// product streams through a bounded-memory tower and is never resident.
 #pragma once
 
 #include <cstdint>
@@ -33,22 +32,8 @@
 
 namespace spar::solver {
 
-/// How each level's square A D^{-1} A is produced (see solver/squaring.hpp).
-enum class SquaringMode {
-  /// Dense while a level's projected fill stays small, streamed past
-  /// ChainOptions::streamed_fill_threshold (or past max_level_fill when that
-  /// guard is set): small instances keep the exact reference path, big ones
-  /// never materialize the product.
-  kAuto,
-  /// Always materialize the exact product (square()); the parity reference.
-  /// With max_level_fill set this mode refuses oversized levels with a
-  /// diagnosed error instead of attempting the SpGEMM.
-  kDense,
-  /// Always fuse sparsify-during-squaring (square_streamed()): bounded
-  /// resident memory, the level's eps budget spent inside the tower.
-  kStreamed,
-};
-
+/// Knobs of the chain build: per-level sparsifier, depth cap, and when and
+/// how a level's square streams.
 struct ChainOptions {
   /// Per-level sparsifier accuracy. The theory needs eps = 1/O(log kappa);
   /// wrapped in PCG a constant works and is what we default to.
@@ -57,31 +42,16 @@ struct ChainOptions {
   double rho = 4.0;
   /// Bundle width forwarded to PARALLELSPARSIFY (0 = theoretical).
   std::size_t t = 2;
-  /// Sparsify a level only when its graph part has more than
-  /// edge_factor * n edges (the "threshold of applicability" m').
-  double edge_factor = 4.0;
   /// Hard cap on chain depth, >= 1 (singular Laplacians terminate here:
   /// their gamma never decays).
   std::size_t max_levels = 24;
-  /// Stop when adjacency dominance gamma = max_i rowsum(A)/D drops below
-  /// this (Jacobi converges at rate gamma on the last level).
-  double gamma_stop = 0.25;
-  /// Damped Jacobi sweeps that solve the last level (where gamma is small
-  /// enough that a few sweeps handle the remaining system).
-  std::size_t last_level_jacobi_steps = 12;
   std::uint64_t seed = 99;  ///< seeds the per-level sparsifier coins
-  /// How each level's square is produced (dense SpGEMM vs streamed tower).
-  SquaringMode squaring = SquaringMode::kAuto;
-  /// kAuto switches a level to streamed squaring once projected_square_fill
-  /// exceeds this many product entries. The default keeps small instances
-  /// (and the existing tests) on the dense reference path.
+  /// A level whose projected_square_fill exceeds this many product entries
+  /// squares through the streamed tower (square_streamed()); the others
+  /// materialize the exact product (square()), the parity reference. The
+  /// default keeps small instances (and the existing tests) on the dense
+  /// path; 0 streams every level and SIZE_MAX none.
   std::size_t streamed_fill_threshold = std::size_t{1} << 22;
-  /// Fill-in guard: 0 = off. When set and a level's projected fill exceeds
-  /// it, kDense throws a diagnosed spar::Error (naming the level, the
-  /// projection, and the streamed-squaring escape hatch) BEFORE committing
-  /// product memory; kAuto switches to streamed at this bound too (it acts
-  /// as a second, stricter streamed_fill_threshold).
-  std::size_t max_level_fill = 0;
   /// Streamed squaring: tower batch granularity in edges.
   std::size_t stream_batch_edges = std::size_t{1} << 17;
   /// Streamed squaring: tower resident-level cap (peak memory knob).
@@ -98,8 +68,8 @@ struct ChainLevelInfo {
   std::size_t edges_after_square = 0;  ///< 0 for the input level
   std::size_t edges = 0;               ///< stored (possibly sparsified) edges
   double gamma = 0.0;                  ///< adjacency dominance at this level
-  /// Symbolic fill bound of this level's square (what the guard / auto mode
-  /// decided on; the streamed path reports the bound it planned with).
+  /// Symbolic fill bound of this level's square: what the dense/streamed
+  /// choice was made on (the streamed path also plans with it).
   std::size_t projected_fill = 0;
   bool streamed_square = false;  ///< next level built by square_streamed()
   /// Peak resident edges of the squaring step (tower + block + batch when
@@ -109,17 +79,19 @@ struct ChainLevelInfo {
   double epsilon_budget_used = 0.0;  ///< composed tower eps (streamed only)
 };
 
+/// The approximate inverse chain of an SDD matrix M: its levels and the
+/// symmetric PSD operator y ~ M^{-1} b they apply.
 class InverseChain {
  public:
-  /// Builds the chain for `m`. Levels stop at gamma_stop, max_levels, or when
-  /// squaring stops changing anything. Throws spar::Error when
-  /// options.max_levels is 0.
+  /// Builds the chain for `m`. Levels stop once adjacency dominance drops to
+  /// 1/4 (where Jacobi finishes the job), at max_levels, or when squaring
+  /// leaves no edges. Throws spar::Error when options.max_levels is 0.
   InverseChain(SDDMatrix m, const ChainOptions& options);
 
   /// Number of stored levels (>= 1).
   std::size_t num_levels() const { return levels_.size(); }
   /// Dimension n shared by every level (squaring never coarsens vertices).
-  std::size_t dimension() const { return levels_.front().matrix.dimension(); }
+  std::size_t dimension() const { return levels_.front().diagonal.size(); }
   /// Build-time bookkeeping, one entry per level.
   const std::vector<ChainLevelInfo>& level_info() const { return info_; }
 
@@ -143,8 +115,9 @@ class InverseChain {
   linalg::BlockOperator as_block_operator() const;
 
  private:
+  // What apply reads of a level M = D - A: D, D^{-1} and A.
   struct Level {
-    SDDMatrix matrix;
+    linalg::Vector diagonal;
     linalg::Vector inv_diagonal;
     linalg::CSRMatrix adjacency;
   };
@@ -157,7 +130,6 @@ class InverseChain {
 
   std::vector<Level> levels_;
   std::vector<ChainLevelInfo> info_;
-  std::size_t jacobi_steps_;
   bool project_constant_;
 };
 

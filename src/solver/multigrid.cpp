@@ -13,6 +13,19 @@ using linalg::Vector;
 
 namespace {
 
+// V-cycle tuning: damped-Jacobi sweeps before and after the coarse
+// correction, with the classic 2/3 weight.
+constexpr std::size_t kPreSmooth = 2;
+constexpr std::size_t kPostSmooth = 2;
+constexpr double kJacobiWeight = 2.0 / 3.0;
+// Stop coarsening when a side drops to this many points.
+constexpr std::size_t kMinSide = 4;
+// CG on the coarsest level (a tiny system).
+constexpr double kCoarseTolerance = 1e-10;
+constexpr std::size_t kCoarseMaxIterations = 2000;
+// Outer PCG cap of multigrid_solve.
+constexpr std::size_t kMaxIterations = 500;
+
 // Bilinear prolongation from a coarse ceil(r/2) x ceil(c/2) grid onto the
 // fine r x c grid; coarse point (i, j) sits at fine point (2i, 2j).
 CSRMatrix bilinear_prolongation(std::size_t rows, std::size_t cols) {
@@ -71,9 +84,8 @@ CSRMatrix bilinear_prolongation(std::size_t rows, std::size_t cols) {
 
 }  // namespace
 
-GridMultigrid::GridMultigrid(const SDDMatrix& m, std::size_t rows, std::size_t cols,
-                             const MultigridOptions& options)
-    : options_(options), project_constant_(m.is_singular()) {
+GridMultigrid::GridMultigrid(const SDDMatrix& m, std::size_t rows, std::size_t cols)
+    : project_constant_(m.is_singular()) {
   SPAR_CHECK(rows * cols == m.dimension(),
              "GridMultigrid: rows * cols must equal the matrix dimension");
   SPAR_CHECK(rows >= 2 && cols >= 2, "GridMultigrid: grid too small");
@@ -92,7 +104,7 @@ GridMultigrid::GridMultigrid(const SDDMatrix& m, std::size_t rows, std::size_t c
       SPAR_CHECK(diag[i] > 0.0, "GridMultigrid: nonpositive diagonal");
       level.inv_diagonal[i] = 1.0 / diag[i];
     }
-    const bool coarsen = r > options_.min_side && c > options_.min_side;
+    const bool coarsen = r > kMinSide && c > kMinSide;
     if (coarsen) {
       level.prolongation = bilinear_prolongation(r, c);
       // Galerkin coarse operator A_c = P^T A P.
@@ -119,7 +131,7 @@ void GridMultigrid::smooth(const Level& level, std::span<const double> b,
   for (std::size_t sweep = 0; sweep < sweeps; ++sweep) {
     level.a.multiply(x, residual);
     for (std::size_t i = 0; i < n; ++i)
-      x[i] += options_.jacobi_weight * level.inv_diagonal[i] * (b[i] - residual[i]);
+      x[i] += kJacobiWeight * level.inv_diagonal[i] * (b[i] - residual[i]);
   }
 }
 
@@ -135,14 +147,14 @@ void GridMultigrid::cycle(std::size_t idx, std::span<const double> b,
           level.a.multiply(in, out);
         }};
     linalg::CGOptions cg;
-    cg.tolerance = options_.coarse_tolerance;
-    cg.max_iterations = options_.coarse_max_iterations;
+    cg.tolerance = kCoarseTolerance;
+    cg.max_iterations = kCoarseMaxIterations;
     cg.project_constant = project_constant_;
     linalg::conjugate_gradient(op, b, x, cg);
     return;
   }
 
-  smooth(level, b, x, options_.pre_smooth);
+  smooth(level, b, x, kPreSmooth);
 
   // Coarse-grid correction: restrict residual, recurse, prolong, add.
   Vector residual(n);
@@ -165,7 +177,7 @@ void GridMultigrid::cycle(std::size_t idx, std::span<const double> b,
   level.prolongation.multiply(coarse_x, correction);
   for (std::size_t i = 0; i < n; ++i) x[i] += correction[i];
 
-  smooth(level, b, x, options_.post_smooth);
+  smooth(level, b, x, kPostSmooth);
   if (project_constant_ && idx == 0) linalg::remove_mean(x);
 }
 
@@ -185,9 +197,8 @@ linalg::LinearOperator GridMultigrid::as_operator() const {
 
 MultigridSolveReport multigrid_solve(const SDDMatrix& m, std::size_t rows,
                                      std::size_t cols, std::span<const double> b,
-                                     double tolerance, std::size_t max_iterations,
-                                     const MultigridOptions& options) {
-  const GridMultigrid mg(m, rows, cols, options);
+                                     double tolerance) {
+  const GridMultigrid mg(m, rows, cols);
   const linalg::LinearOperator a{
       m.dimension(), [&m](std::span<const double> x, std::span<double> y) {
         m.apply(x, y);
@@ -195,7 +206,7 @@ MultigridSolveReport multigrid_solve(const SDDMatrix& m, std::size_t rows,
   Vector x(m.dimension(), 0.0);
   linalg::CGOptions cg;
   cg.tolerance = tolerance;
-  cg.max_iterations = max_iterations;
+  cg.max_iterations = kMaxIterations;
   cg.project_constant = m.is_singular();
   const auto report = linalg::preconditioned_cg(a, mg.as_operator(), b, x, cg);
 

@@ -22,17 +22,6 @@
 
 namespace spar::solver {
 
-/// V-cycle tuning knobs.
-struct MultigridOptions {
-  std::size_t pre_smooth = 2;        ///< Jacobi sweeps before coarse correction
-  std::size_t post_smooth = 2;       ///< Jacobi sweeps after coarse correction
-  double jacobi_weight = 2.0 / 3.0;  ///< damped-Jacobi weight (2/3 is classic)
-  /// Stop coarsening when a side drops to this many points.
-  std::size_t min_side = 4;
-  double coarse_tolerance = 1e-10;   ///< CG tolerance on the coarsest level
-  std::size_t coarse_max_iterations = 2000;  ///< CG cap on the coarsest level
-};
-
 /// Galerkin multigrid hierarchy over a 2D grid graph; one V-cycle is a
 /// symmetric PSD approximate inverse (the PCG preconditioner bench_solver
 /// compares the chain against).
@@ -40,8 +29,7 @@ class GridMultigrid {
  public:
   /// `m` must be the SDD matrix of a rows x cols grid graph (vertex (r, c)
   /// at index r * cols + c); weights arbitrary positive, slack optional.
-  GridMultigrid(const SDDMatrix& m, std::size_t rows, std::size_t cols,
-                const MultigridOptions& options = {});
+  GridMultigrid(const SDDMatrix& m, std::size_t rows, std::size_t cols);
 
   /// Number of grid levels in the hierarchy (finest included).
   std::size_t num_levels() const { return levels_.size(); }
@@ -70,7 +58,6 @@ class GridMultigrid {
               std::span<double> x, std::size_t sweeps) const;
 
   std::vector<Level> levels_;
-  MultigridOptions options_;
   bool project_constant_;
 };
 
@@ -84,11 +71,10 @@ struct MultigridSolveReport {
   std::size_t total_nnz = 0;       ///< stored nonzeros across levels
 };
 
-/// Convenience: solve a grid SDD system with multigrid-preconditioned CG.
+/// Convenience: solve a grid SDD system with multigrid-preconditioned CG
+/// (at most 500 outer iterations).
 MultigridSolveReport multigrid_solve(const SDDMatrix& m, std::size_t rows,
                                      std::size_t cols, std::span<const double> b,
-                                     double tolerance = 1e-8,
-                                     std::size_t max_iterations = 500,
-                                     const MultigridOptions& options = {});
+                                     double tolerance = 1e-8);
 
 }  // namespace spar::solver

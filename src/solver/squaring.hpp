@@ -86,8 +86,8 @@ SDDMatrix square_streamed(const SDDMatrix& m, const StreamedSquareOptions& optio
 
 /// Symbolic upper bound on the fill of A D^{-1} A for m's adjacency: the
 /// Gustavson expansion count before duplicate merging, O(nnz) to compute.
-/// This is the number the chain's guard and auto mode act on BEFORE any
-/// product memory is committed.
+/// This is the number the chain compares against streamed_fill_threshold
+/// BEFORE any product memory is committed.
 std::size_t projected_square_fill(const SDDMatrix& m);
 
 /// Convergence measure for the chain: gamma(M) = max_i (sum_j A_ij) / D_ii.

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "graph/union_find.hpp"
-#include "support/assert.hpp"
 #include "support/rng.hpp"
 
 namespace spar::spanner {
@@ -17,6 +16,13 @@ using graph::Graph;
 using graph::UnionFind;
 using graph::Vertex;
 
+namespace {
+
+// Geometric growth factor between length classes.
+constexpr double kClassGrowth = 4.0;
+
+}  // namespace
+
 std::vector<EdgeId> low_stretch_tree_ids(const Graph& g,
                                          const LowStretchTreeOptions& options) {
   const Vertex n = g.num_vertices();
@@ -24,17 +30,14 @@ std::vector<EdgeId> low_stretch_tree_ids(const Graph& g,
   std::vector<EdgeId> tree;
   if (n == 0 || edges.empty()) return tree;
 
-  const std::size_t radius =
-      options.hop_radius != 0
-          ? options.hop_radius
-          : std::max<std::size_t>(1, static_cast<std::size_t>(
-                                         std::ceil(std::log2(std::max<double>(n, 2)))));
-  SPAR_CHECK(options.class_growth > 1.0, "low_stretch_tree: class_growth must be > 1");
+  // BFS ball radius in hops per contraction round: ceil(log2 n).
+  const std::size_t radius = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(std::log2(std::max<double>(n, 2)))));
 
   // Bucket edges into geometric length classes (length = resistance = 1/w).
   double min_len = 1.0 / edges[0].w;
   for (const graph::Edge& e : edges) min_len = std::min(min_len, 1.0 / e.w);
-  const double log_growth = std::log(options.class_growth);
+  const double log_growth = std::log(kClassGrowth);
   std::vector<std::vector<EdgeId>> classes;
   for (EdgeId id = 0; id < edges.size(); ++id) {
     const double len = 1.0 / edges[id].w;

@@ -20,11 +20,7 @@
 namespace spar::spanner {
 
 struct LowStretchTreeOptions {
-  std::uint64_t seed = 1;
-  /// BFS ball radius in hops per contraction round; 0 = auto (ceil(log2 n)).
-  std::size_t hop_radius = 0;
-  /// Geometric growth factor between length classes.
-  double class_growth = 4.0;
+  std::uint64_t seed = 1;  ///< seeds the ball-center order of each round
 };
 
 /// Edge ids of a spanning forest of g (one tree per connected component).

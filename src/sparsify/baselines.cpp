@@ -11,6 +11,14 @@ using graph::EdgeId;
 using graph::Graph;
 using linalg::Vector;
 
+namespace {
+
+// Auto sample count of spielman_srivastava: ceil(kSampleFactor * n log2(n) /
+// eps^2).
+constexpr double kSampleFactor = 4.0;
+
+}  // namespace
+
 Graph uniform_sparsify(const Graph& g, double keep_probability, std::uint64_t seed) {
   SPAR_CHECK(keep_probability > 0.0 && keep_probability <= 1.0,
              "uniform_sparsify: keep_probability must be in (0, 1]");
@@ -59,7 +67,7 @@ SSResult spielman_srivastava(const Graph& g, const SpielmanSrivastavaOptions& op
       options.num_samples != 0
           ? options.num_samples
           : static_cast<std::size_t>(
-                std::ceil(options.sample_factor * static_cast<double>(n) *
+                std::ceil(kSampleFactor * static_cast<double>(n) *
                           std::log2(std::max<double>(n, 2.0)) /
                           (options.epsilon * options.epsilon)));
 

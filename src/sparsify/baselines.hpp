@@ -30,9 +30,8 @@ enum class ResistanceMode {
 
 struct SpielmanSrivastavaOptions {
   double epsilon = 0.5;
-  /// Number of samples; 0 = auto: ceil(sample_factor * n log2(n) / eps^2).
+  /// Number of samples; 0 = auto: ceil(4 n log2(n) / eps^2).
   std::size_t num_samples = 0;
-  double sample_factor = 4.0;
   ResistanceMode resistance_mode = ResistanceMode::kApproxSolver;
   resistance::ApproxResistanceOptions resistance_options;
   std::uint64_t seed = 1;

@@ -16,6 +16,19 @@ namespace {
 
 constexpr std::uint64_t kDynSeedTag = 0x64796e616d6963ULL;  // "dynamic"
 
+// Drop a level's sketch once the deleted fraction of the segment weight it
+// was computed over exceeds this (re-reduced at the next checkpoint).
+constexpr double kMaxStaleness = 0.25;
+// Collapse the whole tower instead of patching levels when one batch leaves
+// at least this fraction of the live edges in sketchless segments.
+constexpr double kRebuildFraction = 0.5;
+// A segment is only worth a sparsify pass when it is denser than this many
+// edges per (t x touched vertex): below that the t-spanner bundle would keep
+// essentially everything, so the pass is pure overhead and the segment
+// serves its exact edges instead (zero error). This is what keeps
+// incremental checkpoints cheap on bounded-degree families (E17's grid).
+constexpr double kSketchDensity = 2.0;
+
 std::uint64_t edge_key(graph::Vertex a, graph::Vertex b) {
   const graph::Vertex lo = a < b ? a : b;
   const graph::Vertex hi = a < b ? b : a;
@@ -38,17 +51,11 @@ DynamicSparsifier::DynamicSparsifier(graph::Vertex num_vertices,
   SPAR_CHECK(opt_.keep_probability > 0.0 && opt_.keep_probability <= 1.0,
              "dynamic: keep_probability must be in (0, 1]");
   SPAR_CHECK(opt_.batch_updates > 0, "dynamic: batch_updates must be positive");
-  SPAR_CHECK(opt_.max_staleness > 0.0, "dynamic: max_staleness must be positive");
-  SPAR_CHECK(opt_.staleness_eps_share > 0.0 && opt_.staleness_eps_share < 1.0,
-             "dynamic: staleness_eps_share must be in (0, 1)");
-  SPAR_CHECK(opt_.rebuild_fraction > 0.0 && opt_.rebuild_fraction <= 1.0,
-             "dynamic: rebuild_fraction must be in (0, 1]");
   SPAR_CHECK(opt_.max_resident_levels >= 1,
              "dynamic: max_resident_levels must be >= 1");
-  SPAR_CHECK(opt_.sketch_density > 0.0, "dynamic: sketch_density must be positive");
   log_budget_ = std::log1p(opt_.epsilon);
-  stale_budget_ = opt_.staleness_eps_share * log_budget_;
-  eps_pass_ = std::expm1(0.5 * (1.0 - opt_.staleness_eps_share) * log_budget_);
+  stale_budget_ = kStalenessEpsShare * log_budget_;
+  eps_pass_ = std::expm1(0.5 * (1.0 - kStalenessEpsShare) * log_budget_);
   pass_seed_base_ = support::mix64(opt_.seed, kDynSeedTag);
   gutter_.num_vertices = n_;
   stats_.per_pass_epsilon = eps_pass_;
@@ -186,7 +193,7 @@ void DynamicSparsifier::apply_batch(const graph::UpdateBatch& batch) {
           return gone.count(edge_key(level.sketch.u(i), level.sketch.v(i))) == 0;
         });
         const double r = level.deleted_weight / level.weight_at_reduce;
-        if (r > opt_.max_staleness || staleness_charge(level) > stale_budget_) {
+        if (r > kMaxStaleness || staleness_charge(level) > stale_budget_) {
           level.sketch.release();
           level.has_sketch = false;
           level.dirty = Dirty::kStale;
@@ -288,7 +295,7 @@ bool DynamicSparsifier::worth_sketching(const Level& level) const {
   }
   const auto t_eff = static_cast<double>(opt_.t > 0 ? opt_.t : 1);
   return static_cast<double>(m) >
-         opt_.sketch_density * t_eff * static_cast<double>(touched.size());
+         kSketchDensity * t_eff * static_cast<double>(touched.size());
 }
 
 void DynamicSparsifier::build_sketch(Level& level) {
@@ -332,7 +339,7 @@ DynCheckpoint DynamicSparsifier::checkpoint() {
   }
   if (occupied > 1 && directory_.size() > 0 &&
       static_cast<double>(dirty_edges) >=
-          opt_.rebuild_fraction * static_cast<double>(directory_.size()))
+          kRebuildFraction * static_cast<double>(directory_.size()))
     collapse_tower();
   for (std::size_t li = levels_.size(); li-- > 0;)
     if (needs_sketch(levels_[li])) build_sketch(levels_[li]);

@@ -9,10 +9,10 @@
 //    weights) -- deletions compact it exactly, and
 //  * a cached SKETCH of the segment (one parallel_sparsify_rounds pass over
 //    the exact edges), which is what checkpoints serve. Segments a pass
-//    could not compress -- smaller than sketch_min_edges, or sparser than
-//    sketch_density edges per (t x touched vertex), where the t-spanner
-//    bundle would keep everything anyway -- serve their exact edges and
-//    carry zero error.
+//    could not compress -- smaller than sketch_min_edges, or with at most
+//    2 edges per (t x touched vertex), where the t-spanner bundle would
+//    keep everything anyway -- serve their exact edges and carry zero
+//    error.
 //
 // Updates batch through a guttering buffer (GraphStreamingCC's ingest shape:
 // DynamicOptions::batch_updates per tower batch, so batch boundaries are a
@@ -46,15 +46,15 @@
 //
 //     (1 - s)/2  level pass  +  s  staleness  +  (1 - s)/2  checkpoint pass
 //
-// (s = staleness_eps_share), so every pass runs at eps_pass =
+// (s = kStalenessEpsShare = 1/4), so every pass runs at eps_pass =
 // (1 + eps)^((1 - s)/2) - 1, and a level whose charge would exceed the
-// staleness share -- or whose deleted fraction exceeds max_staleness -- drops
+// staleness share -- or whose deleted fraction exceeds 1/4 -- drops
 // its sketch and is re-reduced from its (exact, already-compacted) segment at
 // the next checkpoint. Composed error along any edge is therefore at most
 // one level pass + the staleness allowance + (when compact_checkpoints) one
 // checkpoint pass, i.e. certified_epsilon <= eps by construction, for any
 // update sequence; the checkpoint share is headroom otherwise. When
-// one batch dirties segments holding >= rebuild_fraction of the live edges,
+// one batch dirties segments holding at least half of the live edges,
 // patching level by level is pointless and the tower collapses into a single
 // level (stats().rebuilds) -- the incremental-vs-rebuild crossover E17
 // measures.
@@ -81,6 +81,10 @@
 
 namespace spar::sparsify {
 
+/// Fraction s of the log-eps budget reserved for staleness; the remainder
+/// splits evenly between the level pass and the checkpoint pass.
+inline constexpr double kStalenessEpsShare = 0.25;
+
 struct DynamicOptions {
   double epsilon = 0.5;  ///< end-to-end certification target
   double rho = 4.0;      ///< per-pass sparsification factor
@@ -91,23 +95,8 @@ struct DynamicOptions {
   /// Updates gathered in the gutter before one tower batch is applied; the
   /// unit that makes batch boundaries arrival-chunking-invariant.
   std::size_t batch_updates = std::size_t{1} << 16;
-  /// Drop a level's sketch once the deleted fraction of the segment weight it
-  /// was computed over exceeds this (re-reduced at the next checkpoint).
-  double max_staleness = 0.25;
-  /// Fraction s of the log-eps budget reserved for staleness; the remainder
-  /// splits evenly between the level pass and the checkpoint pass.
-  double staleness_eps_share = 0.25;
-  /// Collapse the whole tower instead of patching levels when one batch
-  /// leaves >= this fraction of the live edges in sketchless segments.
-  double rebuild_fraction = 0.5;
   /// Segments below this size serve their exact edges (zero error, no pass).
   std::size_t sketch_min_edges = 4096;
-  /// A segment is only worth a sparsify pass when it is denser than this
-  /// many edges per (t x touched vertex): below that the t-spanner bundle
-  /// would keep essentially everything, so the pass is pure overhead and the
-  /// segment serves its exact edges instead (zero error). This is what keeps
-  /// incremental checkpoints cheap on bounded-degree families (E17's grid).
-  double sketch_density = 2.0;
   /// Collapse the tower into one level once more than this many levels are
   /// occupied (bounds per-checkpoint concatenation overhead; error does not
   /// grow with level count, it composes as a max over levels).
@@ -175,8 +164,8 @@ class DynamicSparsifier {
   void flush();
 
   /// Serve the sparsifier: flushes, lazily (re-)reduces dirty levels --
-  /// collapsing the tower first when they hold >= rebuild_fraction of the
-  /// live edges -- then returns the union of the per-level serving views
+  /// collapsing the tower first when they hold at least half of the live
+  /// edges -- then returns the union of the per-level serving views
   /// (reduced by one more pass when compact_checkpoints). Non-destructive:
   /// the tower keeps its segments and sketches, so a checkpoint over a clean
   /// tower costs only the concatenation.

@@ -14,6 +14,13 @@ using graph::EdgeId;
 using graph::Graph;
 using graph::Vertex;
 
+namespace {
+
+// Auto sample count: ceil(kSampleFactor * total_stretch * log2(n) / eps^2).
+constexpr double kSampleFactor = 0.5;
+
+}  // namespace
+
 IncrementalResult incremental_sparsify(const Graph& g,
                                        const IncrementalOptions& options) {
   SPAR_CHECK(options.epsilon > 0.0, "incremental_sparsify: epsilon must be positive");
@@ -71,7 +78,7 @@ IncrementalResult incremental_sparsify(const Graph& g,
         options.num_samples != 0
             ? options.num_samples
             : static_cast<std::size_t>(std::ceil(
-                  options.sample_factor * result.total_stretch *
+                  kSampleFactor * result.total_stretch *
                   std::log2(std::max<double>(n, 2.0)) /
                   (options.epsilon * options.epsilon)));
     result.samples_drawn = q;

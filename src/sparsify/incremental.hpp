@@ -26,9 +26,8 @@ namespace spar::sparsify {
 struct IncrementalOptions {
   double epsilon = 1.0;
   /// Number of with-replacement samples; 0 = auto:
-  /// ceil(sample_factor * total_stretch * log2(n) / eps^2).
+  /// ceil(0.5 * total_stretch * log2(n) / eps^2).
   std::size_t num_samples = 0;
-  double sample_factor = 0.5;
   std::uint64_t seed = 1;
   spanner::LowStretchTreeOptions tree;
 };

@@ -12,8 +12,15 @@ namespace spar::sparsify {
 
 using graph::Graph;
 
-QualityReport quality_report(const Graph& g, const Graph& h,
-                             const QualityOptions& options) {
+namespace {
+
+constexpr std::size_t kGaussianProbes = 64;  // random x ~ N(0, I), mean-removed
+constexpr std::size_t kCutProbes = 64;       // random bipartitions
+constexpr std::uint64_t kSeed = 101;
+
+}  // namespace
+
+QualityReport quality_report(const Graph& g, const Graph& h) {
   SPAR_CHECK(g.num_vertices() == h.num_vertices(),
              "quality_report: vertex count mismatch");
   const std::size_t n = g.num_vertices();
@@ -25,11 +32,11 @@ QualityReport quality_report(const Graph& g, const Graph& h,
   report.sparsifier_connected = graph::is_connected(graph::CSRGraph(h));
   if (n < 2) return report;
 
-  support::Rng rng(options.seed);
+  support::Rng rng(kSeed);
   linalg::Vector x(n);
 
   bool first = true;
-  for (std::size_t probe = 0; probe < options.gaussian_probes; ++probe) {
+  for (std::size_t probe = 0; probe < kGaussianProbes; ++probe) {
     for (double& v : x) v = rng.normal();
     linalg::remove_mean(x);
     const double qg = linalg::laplacian_quadratic_form(g, x);
@@ -45,7 +52,7 @@ QualityReport quality_report(const Graph& g, const Graph& h,
   }
 
   first = true;
-  for (std::size_t probe = 0; probe < options.cut_probes; ++probe) {
+  for (std::size_t probe = 0; probe < kCutProbes; ++probe) {
     for (double& v : x) v = rng.bernoulli(0.5) ? 1.0 : 0.0;
     const double qg = linalg::laplacian_quadratic_form(g, x);
     if (qg <= 0.0) continue;  // one side empty or cut misses every edge

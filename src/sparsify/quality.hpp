@@ -11,17 +11,11 @@
 // it, and property tests assert its internal consistency.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "graph/graph.hpp"
 
 namespace spar::sparsify {
-
-struct QualityOptions {
-  std::size_t gaussian_probes = 64;  ///< random x ~ N(0, I), mean-removed
-  std::size_t cut_probes = 64;       ///< random bipartitions
-  std::uint64_t seed = 101;
-};
 
 struct QualityReport {
   // Quadratic-form ratio extremes over Gaussian probes (inner estimates of
@@ -46,8 +40,9 @@ struct QualityReport {
   }
 };
 
-/// Diagnostics of `h` as a sparsifier of `g` (same vertex set required).
-QualityReport quality_report(const graph::Graph& g, const graph::Graph& h,
-                             const QualityOptions& options = {});
+/// Diagnostics of `h` as a sparsifier of `g` (same vertex set required), over
+/// 64 mean-removed Gaussian probes and 64 random bipartitions from a fixed
+/// seed, so a report is a pure function of (g, h).
+QualityReport quality_report(const graph::Graph& g, const graph::Graph& h);
 
 }  // namespace spar::sparsify

@@ -59,6 +59,10 @@ ApproxBounds exact_relative_bounds(const Graph& g, const Graph& h) {
 
 namespace {
 
+// The CG solve z = pinv(L_den) y inside each power step.
+constexpr double kCgTolerance = 1e-9;
+constexpr std::size_t kCgMaxIterations = 20000;
+
 // One side of the pencil: the graph, for the exact quadratic form, and its
 // Laplacian kernel, built once and shared by both power iterations.
 struct PencilSide {
@@ -83,8 +87,8 @@ double max_generalized_eigenvalue(const PencilSide& num, const PencilSide& den,
   Vector y(n), z(n);
   double lambda = 0.0;
   linalg::CGOptions cg;
-  cg.tolerance = options.cg_tolerance;
-  cg.max_iterations = options.cg_max_iterations;
+  cg.tolerance = kCgTolerance;
+  cg.max_iterations = kCgMaxIterations;
   cg.project_constant = true;
 
   for (std::size_t it = 0; it < options.max_iterations; ++it) {

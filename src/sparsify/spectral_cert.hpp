@@ -42,8 +42,6 @@ struct CertOptions {
   std::uint64_t seed = 17;
   double tolerance = 1e-6;        ///< power-iteration Rayleigh tolerance
   std::size_t max_iterations = 300;
-  double cg_tolerance = 1e-9;
-  std::size_t cg_max_iterations = 20000;
 };
 
 /// Matrix-free bounds via power iteration + CG. The returned values are

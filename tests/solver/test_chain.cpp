@@ -145,15 +145,15 @@ TEST(InverseChain, TotalNnzAccountsAllLevels) {
 }
 
 TEST(InverseChain, SparsificationCapsLevelGrowth) {
-  // With sparsification on, stored level sizes stay near edge_factor * n.
+  // With sparsification on, stored level sizes stay near 4n, the chain's
+  // threshold of applicability.
   const SDDMatrix m = grounded_grid(14);
   ChainOptions opt;
   opt.max_levels = 10;
-  opt.edge_factor = 4.0;
   opt.rho = 8.0;
   opt.t = 1;
   const InverseChain chain(m, opt);
-  const double cap = 14.0 * opt.edge_factor * double(m.dimension());
+  const double cap = 14.0 * 4.0 * double(m.dimension());
   for (const auto& info : chain.level_info())
     EXPECT_LT(double(info.edges), cap);
 }

@@ -1,21 +1,20 @@
-// Streamed-build chains (ChainOptions::squaring = kStreamed / kAuto): parity
-// with the dense reference build -- same certification, same solve envelope,
-// deterministic across thread counts -- plus the fill-in guard and the mode
-// switch. The dense/streamed split is a build-path choice, never a semantic
-// one; these tests pin that contract.
+// Streamed-build chains (levels whose projected fill exceeds
+// ChainOptions::streamed_fill_threshold): parity with the dense reference
+// build -- same certification, same solve envelope, deterministic across
+// thread counts -- plus the per-level switch. The dense/streamed split is a
+// build-path choice, never a semantic one; these tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <string>
+#include <limits>
 #include <tuple>
 #include <vector>
 
 #include "graph/generators.hpp"
 #include "solver/chain.hpp"
 #include "solver/solver.hpp"
-#include "support/error.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -32,11 +31,12 @@ SDDMatrix grounded_grid(graph::Vertex side) {
   return SDDMatrix(g, slack);
 }
 
-/// Streamed build with small tower granularity so even test-sized levels
-/// exercise real batching and row-blocking.
+/// Streamed build (every level's fill exceeds threshold 0) with small tower
+/// granularity so even test-sized levels exercise real batching and
+/// row-blocking.
 ChainOptions streamed_options() {
   ChainOptions opt;
-  opt.squaring = SquaringMode::kStreamed;
+  opt.streamed_fill_threshold = 0;
   opt.stream_batch_edges = 1024;
   opt.stream_block_fill_edges = 4096;
   opt.max_levels = 8;
@@ -87,7 +87,7 @@ TEST(StreamedChain, CertifiesAndSolvesLikeDenseBuild) {
   for (double& v : b) v = rng.normal();
 
   ChainOptions dense_opt;
-  dense_opt.squaring = SquaringMode::kDense;
+  dense_opt.streamed_fill_threshold = std::numeric_limits<std::size_t>::max();
   dense_opt.max_levels = 8;
   const InverseChain dense_chain(m, dense_opt);
   const InverseChain streamed_chain(m, streamed_options());
@@ -125,7 +125,7 @@ TEST(StreamedChain, MultiRhsParityWithDenseBuild) {
     for (std::size_t j = 0; j < k; ++j) b.at(i, j) = rng.normal();
 
   ChainOptions dense_opt;
-  dense_opt.squaring = SquaringMode::kDense;
+  dense_opt.streamed_fill_threshold = std::numeric_limits<std::size_t>::max();
   dense_opt.max_levels = 8;
   const InverseChain dense_chain(m, dense_opt);
   const InverseChain streamed_chain(m, streamed_options());
@@ -180,7 +180,6 @@ TEST(StreamedChain, AutoModeSwitchesOnProjectedFill) {
   const SDDMatrix m = grounded_grid(16);
 
   ChainOptions stay_dense;
-  stay_dense.squaring = SquaringMode::kAuto;
   stay_dense.max_levels = 3;
   stay_dense.streamed_fill_threshold = std::size_t{1} << 40;  // never reached
   const InverseChain dense_chain(m, stay_dense);
@@ -198,32 +197,11 @@ TEST(StreamedChain, AutoModeSwitchesOnProjectedFill) {
     EXPECT_TRUE(info[i].streamed_square) << i;
 }
 
-TEST(StreamedChain, MaxLevelFillGuardThrowsDiagnosed) {
-  // kDense with a tiny fill budget must refuse the square BEFORE committing
-  // product memory, and the error must name the level, the projection, and
-  // the streamed escape hatch.
-  const SDDMatrix m = grounded_grid(12);
-  ChainOptions opt;
-  opt.squaring = SquaringMode::kDense;
-  opt.max_level_fill = 10;
-  try {
-    const InverseChain chain(m, opt);
-    FAIL() << "expected spar::Error from the fill guard";
-  } catch (const spar::Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("level 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("max_level_fill"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("kStreamed"), std::string::npos) << msg;
-    EXPECT_NE(msg.find(std::to_string(opt.max_level_fill)), std::string::npos) << msg;
-  }
-}
-
 TEST(StreamedChain, AutoModeStreamsInsteadOfThrowingOnTinyBudget) {
-  // Same tiny budget, kAuto: the guard acts as a switch, not a wall.
+  // A tiny fill threshold is a switch, not a wall: the level streams.
   const SDDMatrix m = grounded_grid(12);
   ChainOptions opt = streamed_options();
-  opt.squaring = SquaringMode::kAuto;
-  opt.max_level_fill = 10;
+  opt.streamed_fill_threshold = 10;
   opt.max_levels = 3;
   const InverseChain chain(m, opt);
   const auto& info = chain.level_info();

@@ -9,7 +9,6 @@
 #include "graph/traversal.hpp"
 #include "graph/union_find.hpp"
 #include "spanner/stretch.hpp"
-#include "support/error.hpp"
 
 namespace spar::spanner {
 namespace {
@@ -60,12 +59,6 @@ TEST(LowStretchTree, Deterministic) {
   const auto a = low_stretch_tree_ids(g, {.seed = 42});
   const auto b = low_stretch_tree_ids(g, {.seed = 42});
   EXPECT_EQ(a, b);
-}
-
-TEST(LowStretchTree, RejectsBadGrowth) {
-  const Graph g = graph::path_graph(4);
-  EXPECT_THROW(low_stretch_tree_ids(g, {.seed = 1, .class_growth = 1.0}),
-               spar::Error);
 }
 
 TEST(LowStretchTree, AverageStretchBeatsWorstCaseEnvelope) {

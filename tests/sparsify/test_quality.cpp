@@ -85,10 +85,8 @@ TEST(QualityReport, VertexMismatchThrows) {
 TEST(QualityReport, DeterministicPerSeed) {
   const Graph g = graph::complete_graph(30);
   const Graph h = graph::mst(g);
-  QualityOptions opt;
-  opt.seed = 77;
-  const auto a = quality_report(g, h, opt);
-  const auto b = quality_report(g, h, opt);
+  const auto a = quality_report(g, h);
+  const auto b = quality_report(g, h);
   EXPECT_DOUBLE_EQ(a.min_quadratic_ratio, b.min_quadratic_ratio);
   EXPECT_DOUBLE_EQ(a.max_cut_ratio, b.max_cut_ratio);
 }

@@ -76,14 +76,19 @@ TEST(ParallelSample, SampledFractionNearKeepProbability) {
 }
 
 TEST(ParallelSample, TheoreticalWidthUsedWhenTZero) {
-  const Graph g = graph::path_graph(16);
-  SampleOptions opt;
-  opt.epsilon = 1.0;
-  opt.t = 0;
-  const SampleResult result = parallel_sample(g, opt);
-  EXPECT_EQ(result.t_used, theory_bundle_width(16, 1.0));
-  // Paths are swallowed whole by the first spanner: no sampling, exact copy.
-  EXPECT_EQ(result.sparsifier.num_edges(), g.num_edges());
+  // Paths are swallowed whole by the first spanner, and so is K_40: at these
+  // sizes the theory-width bundle holds the whole graph, so nothing is
+  // sampled and the output is an exact copy.
+  for (const Graph& g : {graph::path_graph(16), graph::complete_graph(40)}) {
+    SampleOptions opt;
+    opt.epsilon = 1.0;
+    opt.t = 0;
+    const SampleResult result = parallel_sample(g, opt);
+    EXPECT_EQ(result.t_used, theory_bundle_width(g.num_vertices(), 1.0));
+    EXPECT_EQ(result.sparsifier.num_edges(), g.num_edges());
+    EXPECT_TRUE(result.sparsifier.same_edges(g));
+    EXPECT_EQ(result.sampled_edges, 0u);
+  }
 }
 
 TEST(ParallelSample, PreservesConnectivityOnDumbbell) {
@@ -147,6 +152,28 @@ TEST(ParallelSample, TreeBundleVariantRuns) {
   // and close to it on a complete graph.
   EXPECT_LE(result.bundle_edges, 3u * 39);
   EXPECT_GE(result.bundle_edges, 3u * 35);
+}
+
+// ---- The two parameter settings: theory width (t = 0) vs a small t ----------
+
+TEST(Presets, TheorySampleOnSmallGraphReturnsInputUnchanged) {
+  const Graph g = graph::complete_graph(40);
+  SampleOptions opt;
+  opt.epsilon = 1.0;
+  opt.t = 0;
+  const SampleResult result = parallel_sample(g, opt);
+  // Bundle swallows the graph; the sample equals the input exactly.
+  EXPECT_TRUE(result.sparsifier.same_edges(g));
+  EXPECT_EQ(result.sampled_edges, 0u);
+}
+
+TEST(Presets, PracticalSampleActuallySparsifies) {
+  const Graph g = graph::complete_graph(120);
+  SampleOptions opt;
+  opt.epsilon = 1.0;
+  opt.t = 1;
+  const SampleResult result = parallel_sample(g, opt);
+  EXPECT_LT(result.sparsifier.num_edges(), g.num_edges());
 }
 
 // ---- Spectral quality sweep (Theorem 4 empirically) ------------------------
