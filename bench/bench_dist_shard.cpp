@@ -23,7 +23,6 @@
 #include "bench/common.hpp"
 #include "dist/dist_spanner.hpp"
 #include "dist/runner.hpp"
-#include "graph/csr.hpp"
 #include "support/framing.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -67,7 +66,6 @@ const char* backend_name(dist::DistBackend b) {
   switch (b) {
     case dist::DistBackend::kLoopback: return "loopback";
     case dist::DistBackend::kSocketUnix: return "unix";
-    case dist::DistBackend::kSocketTcp: return "tcp";
   }
   return "?";
 }

@@ -8,9 +8,8 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "dist/dist_spanner.hpp"
+#include "dist/runner.hpp"
 #include "spanner/baswana_sen.hpp"
-#include "graph/csr.hpp"
 #include "spanner/stretch.hpp"
 
 using namespace spar;
@@ -31,8 +30,7 @@ int main(int argc, char** argv) {
   for (const auto& family : families) {
     for (const graph::Vertex n : sizes) {
       const graph::Graph g = bench::make_family(family, n, seed);
-      const graph::CSRGraph csr(g);
-      const auto result = dist::distributed_spanner(csr, nullptr, {.k = 0, .seed = seed});
+      const auto result = dist::run_distributed_spanner(g, {.k = 0, .seed = seed}, {});
 
       const std::size_t k = spanner::auto_spanner_k(g.num_vertices());
       std::string stretch_cell = "-";

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "dist/dist_spanner.hpp"
+#include "dist/runner.hpp"
 
 using namespace spar;
 
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   dopt.rho = opt.get_double("rho", 16.0);
   dopt.t = static_cast<std::size_t>(opt.get_int("t", 1));
   dopt.seed = seed;
-  const auto result = dist::distributed_parallel_sparsify(g, dopt);
+  const auto result = dist::run_distributed_sparsify(g, dopt, {});
 
   support::Table table({"round", "edges in", "edges out", "net rounds",
                         "messages", "words", "max round words"});

@@ -5,8 +5,7 @@
 //   ./distributed_spanner_demo [--n=400] [--p=0.05] [--seed=3]
 #include <cstdio>
 
-#include "dist/dist_spanner.hpp"
-#include "graph/csr.hpp"
+#include "dist/runner.hpp"
 #include "graph/generators.hpp"
 #include "spanner/baswana_sen.hpp"
 #include "spanner/stretch.hpp"
@@ -20,13 +19,12 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 3));
 
   const graph::Graph g = graph::connected_erdos_renyi(n, p, seed);
-  const graph::CSRGraph csr(g);
   const std::size_t k = spanner::auto_spanner_k(n);
   std::printf("network: n=%u nodes, m=%zu links; running (2k-1)-spanner with "
               "k=%zu (stretch bound %zu)\n",
               n, g.num_edges(), k, 2 * k - 1);
 
-  const auto result = dist::distributed_spanner(csr, nullptr, {.k = 0, .seed = seed});
+  const auto result = dist::run_distributed_spanner(g, {.k = 0, .seed = seed}, {});
 
   std::printf("\nprotocol transcript summary:\n");
   std::printf("  rounds:            %llu  (Theorem 2 budget: O(log^2 n) ~ %.0f)\n",

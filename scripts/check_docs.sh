@@ -5,7 +5,9 @@
 #
 # 1. scripts/check_public_docs.py -- fails on any undocumented public symbol
 #    in src/solver, src/resistance and src/apps (works offline, no doxygen
-#    needed).
+#    needed). It must also fail on its fixture
+#    scripts/testdata/docs_gate/enum_then_undocumented.hpp, naming the
+#    undocumented declarations that follow a documented enum.
 # 2. scripts/check_links.sh -- fails on any broken relative link in the
 #    top-level markdown docs.
 # 3. If doxygen is installed, runs it over the Doxyfile and fails on
@@ -18,6 +20,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 python3 scripts/check_public_docs.py src/solver src/resistance src/apps
+
+fixture_out=$(python3 scripts/check_public_docs.py scripts/testdata/docs_gate 2>&1) &&
+  fixture_status=0 || fixture_status=$?
+for want in "struct Undocumented" "class AlsoUndocumented"; do
+  if [ "$fixture_status" -ne 1 ] || ! grep -qF "$want" <<<"$fixture_out"; then
+    echo "check_docs: the docs gate missed '$want' in its fixture" \
+         "(exit $fixture_status):" >&2
+    echo "$fixture_out" >&2
+    exit 1
+  fi
+done
 scripts/check_links.sh
 
 if command -v doxygen >/dev/null 2>&1; then

@@ -87,6 +87,10 @@ def check_header(path: Path):
                 if scope:
                     scope.pop()
             continue
+        if scope and scope[-1][0] == "enum":
+            # An enumerator has no ';' to end it; treating it as the head of
+            # a multi-line declaration would swallow the enum's closing '};'.
+            continue
 
         m_scope = SCOPE_RE.match(code)
         if m_scope and m_scope.group(1) == "namespace":

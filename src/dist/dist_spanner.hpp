@@ -21,11 +21,12 @@
 //    O(log n) bits, which bench_dist_spanner instantiates next to the
 //    measured counts.
 //
-// Since PR 8 the protocols execute on the sharded SPMD core (dist/shard.hpp)
-// behind a Transport (dist/transport.hpp): the entry points below run the
-// core on a one-shard loopback mesh, and dist/runner.hpp scales the SAME
-// code to S shards as threads (LoopbackTransport) or real processes over
-// sockets (SocketTransport). Outputs -- edge sets AND model metrics -- are
+// This header holds the protocols' options, results and model metrics. They
+// run on the sharded SPMD core (dist/shard.hpp) behind a Transport
+// (dist/transport.hpp), through the run_distributed_* entry points of
+// dist/runner.hpp: one shard inline (a default DistExecOptions), or S shards
+// as threads (LoopbackTransport) or real processes over sockets
+// (SocketTransport). Outputs -- edge sets AND model metrics -- are
 // bit-identical for every shard count, every transport, and every
 // shared-memory thread count (tests/integration/test_determinism.cpp,
 // tests/dist/test_shard.cpp). DistMetrics stays the protocol-node account of
@@ -37,7 +38,6 @@
 #include <vector>
 
 #include "dist/transport.hpp"
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "support/work_counter.hpp"
 
@@ -76,20 +76,15 @@ struct DistSpannerOptions {
   support::WorkCounter* work = nullptr;
 };
 
+/// Theorem 2: distributed Baswana-Sen. For a fixed seed the edge set equals
+/// spanner::baswana_sen_spanner's.
 struct DistSpannerResult {
-  std::vector<graph::EdgeId> spanner_edges;
+  std::vector<graph::EdgeId> spanner_edges;  ///< sorted global edge ids
   DistMetrics metrics;
   /// Measured transport traffic, summed over shards (all-zero words on a
   /// one-shard mesh: nothing crosses a shard boundary).
   WireMetrics wire;
 };
-
-/// Theorem 2: distributed Baswana-Sen over the subgraph given by
-/// alive[id] == true (alive == nullptr means all edges). For a fixed seed the
-/// returned edge set equals spanner::baswana_sen_spanner's.
-DistSpannerResult distributed_spanner(const graph::CSRGraph& csr,
-                                      const std::vector<bool>* alive,
-                                      const DistSpannerOptions& options);
 
 struct DistSampleOptions {
   double epsilon = 0.5;
@@ -100,6 +95,11 @@ struct DistSampleOptions {
   support::WorkCounter* work = nullptr;
 };
 
+/// Distributed PARALLELSAMPLE: the t-bundle is peeled with t runs of the
+/// distributed spanner protocol; off-bundle coin flips are local decisions
+/// (the coin is a pure function of seed and edge id) and only the kept edges
+/// are announced. Seeds are derived exactly as in sparsify::parallel_sample,
+/// so the output sparsifier is identical to the shared-memory one.
 struct DistSampleResult {
   graph::Graph sparsifier;
   std::size_t bundle_edges = 0;
@@ -109,14 +109,6 @@ struct DistSampleResult {
   DistMetrics metrics;
   WireMetrics wire;  ///< measured transport traffic, summed over shards
 };
-
-/// Distributed PARALLELSAMPLE: the t-bundle is peeled with t runs of the
-/// distributed spanner protocol; off-bundle coin flips are local decisions
-/// (the coin is a pure function of seed and edge id) and only the kept edges
-/// are announced. Seeds are derived exactly as in sparsify::parallel_sample,
-/// so the output sparsifier is identical to the shared-memory one.
-DistSampleResult distributed_parallel_sample(const graph::Graph& g,
-                                             const DistSampleOptions& options);
 
 struct DistSparsifyOptions {
   double epsilon = 0.5;
@@ -134,17 +126,14 @@ struct DistRound {
   DistMetrics metrics;
 };
 
+/// Theorem 5 (distributed statement): ceil(log2 rho) rounds of distributed
+/// PARALLELSAMPLE. Off-bundle mass halves per round, so round 1 dominates the
+/// communication -- bench_dist_sparsify prints the per-round decay.
 struct DistSparsifyResult {
   graph::Graph sparsifier;
   std::vector<DistRound> rounds;
   DistMetrics metrics;
   WireMetrics wire;  ///< measured transport traffic, summed over shards
 };
-
-/// Theorem 5 (distributed statement): ceil(log2 rho) rounds of distributed
-/// PARALLELSAMPLE. Off-bundle mass halves per round, so round 1 dominates the
-/// communication -- bench_dist_sparsify prints the per-round decay.
-DistSparsifyResult distributed_parallel_sparsify(const graph::Graph& g,
-                                                 const DistSparsifyOptions& options);
 
 }  // namespace spar::dist

@@ -53,92 +53,14 @@ void check_metrics_agree(const std::vector<detail::WorkerResult>& shards) {
   }
 }
 
-enum class Mode { kSpanner, kSample, kSparsify };
-
-const char* mode_name(Mode mode) {
-  switch (mode) {
-    case Mode::kSpanner: return "spanner";
-    case Mode::kSample: return "sample";
-    case Mode::kSparsify: return "sparsify";
-  }
-  return "?";
-}
-
-/// All three protocol option sets flattened for the worker command line.
-struct ProtoOptions {
-  std::size_t k = 0;
-  double epsilon = 0.5;
-  double rho = 4.0;
-  std::size_t t = 0;
-  double keep_probability = 0.25;
-  std::uint64_t seed = 1;
-};
-
-detail::WorkerResult run_one_shard(Transport& net, Mode mode,
-                                   const graph::Graph& g,
-                                   const graph::EdgeView& edges,
-                                   const ProtoOptions& proto,
-                                   support::WorkCounter* work) {
-  detail::WorkerResult res;
-  switch (mode) {
-    case Mode::kSpanner: {
-      DistSpannerOptions opt;
-      opt.k = proto.k;
-      opt.seed = proto.seed;
-      opt.work = work;
-      ShardSpannerOutput out = run_shard_spanner(net, edges, nullptr, opt);
-      res.spanner_ids = std::move(out.owned_spanner_edges);
-      res.metrics = out.metrics;
-      break;
-    }
-    case Mode::kSample: {
-      DistSampleOptions opt;
-      opt.epsilon = proto.epsilon;
-      opt.t = proto.t;
-      opt.keep_probability = proto.keep_probability;
-      opt.seed = proto.seed;
-      opt.work = work;
-      ShardSampleOutput out = run_shard_sample(net, g, opt);
-      res.owned = std::move(out.owned);
-      res.final_edges = out.final_edges;
-      res.bundle_edges = out.bundle_edges;
-      res.off_bundle_edges = out.off_bundle_edges;
-      res.sampled_edges = out.sampled_edges;
-      res.t_used = out.t_used;
-      res.metrics = out.metrics;
-      break;
-    }
-    case Mode::kSparsify: {
-      DistSparsifyOptions opt;
-      opt.epsilon = proto.epsilon;
-      opt.rho = proto.rho;
-      opt.t = proto.t;
-      opt.keep_probability = proto.keep_probability;
-      opt.seed = proto.seed;
-      opt.work = work;
-      ShardSparsifyOutput out = run_shard_sparsify(net, g, opt);
-      res.owned = std::move(out.owned);
-      res.final_edges = out.final_edges;
-      res.rounds = std::move(out.rounds);
-      res.metrics = out.metrics;
-      break;
-    }
-  }
-  res.wire = net.wire();
-  return res;
-}
-
-std::vector<detail::WorkerResult> run_loopback(std::size_t shards, Mode mode,
-                                               const graph::Graph& g,
-                                               const ProtoOptions& proto,
-                                               support::WorkCounter* work) {
-  graph::EdgeArena arena(g);
-  const graph::EdgeView edges = arena.view();
+std::vector<detail::WorkerResult> run_loopback(
+    std::size_t shards, const graph::Graph& g,
+    const detail::ProtoOptions& proto, support::WorkCounter* work) {
   LoopbackHub hub(shards);
   std::vector<detail::WorkerResult> results(shards);
 
   if (shards == 1) {
-    results[0] = run_one_shard(hub.endpoint(0), mode, g, edges, proto, work);
+    results[0] = detail::run_one_shard(hub.endpoint(0), g, proto, work);
     return results;
   }
 
@@ -153,8 +75,9 @@ std::vector<detail::WorkerResult> run_loopback(std::size_t shards, Mode mode,
   for (std::size_t s = 0; s < shards; ++s) {
     threads.emplace_back([&, s] {
       try {
-        results[s] = run_one_shard(hub.endpoint(s), mode, g, edges, proto,
-                                   work != nullptr ? &local_work[s] : nullptr);
+        results[s] = detail::run_one_shard(
+            hub.endpoint(s), g, proto,
+            work != nullptr ? &local_work[s] : nullptr);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(error_mutex);
@@ -172,15 +95,9 @@ std::vector<detail::WorkerResult> run_loopback(std::size_t shards, Mode mode,
   return results;
 }
 
-std::string fmt_double(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
-
 std::vector<detail::WorkerResult> run_sockets(const DistExecOptions& exec,
-                                              Mode mode, const graph::Graph& g,
-                                              const ProtoOptions& proto,
+                                              const graph::Graph& g,
+                                              const detail::ProtoOptions& proto,
                                               support::WorkCounter* work) {
   std::string worker = exec.worker_path;
   if (worker.empty()) {
@@ -213,31 +130,19 @@ std::vector<detail::WorkerResult> run_sockets(const DistExecOptions& exec,
 
     const std::size_t shards = exec.shards;
     std::vector<pid_t> pids(shards, -1);
+    detail::WorkerArgs args;
+    args.graph_path = graph_path;
+    args.shards = shards;
+    args.mesh.unix_base = scratch + "/mesh";
+    args.proto = proto;
     for (std::size_t s = 0; s < shards; ++s) {
-      std::vector<std::string> args = {
-          worker,
-          "--graph", graph_path,
-          "--mode", mode_name(mode),
-          "--shard", std::to_string(s),
-          "--shards", std::to_string(shards),
-          "--out", scratch + "/result." + std::to_string(s),
-          "--k", std::to_string(proto.k),
-          "--epsilon", fmt_double(proto.epsilon),
-          "--rho", fmt_double(proto.rho),
-          "--t", std::to_string(proto.t),
-          "--keep-probability", fmt_double(proto.keep_probability),
-          "--seed", std::to_string(proto.seed),
-      };
-      if (exec.backend == DistBackend::kSocketUnix) {
-        args.push_back("--unix-base");
-        args.push_back(scratch + "/mesh");
-      } else {
-        args.push_back("--tcp-dir");
-        args.push_back(scratch);
-      }
+      args.shard = s;
+      args.out_path = scratch + "/result." + std::to_string(s);
+      std::vector<std::string> flags = detail::worker_flags(args);
       std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (std::string& a : args) argv.push_back(a.data());
+      argv.reserve(flags.size() + 2);
+      argv.push_back(worker.data());
+      for (std::string& f : flags) argv.push_back(f.data());
       argv.push_back(nullptr);
 
       const pid_t pid = ::fork();
@@ -297,16 +202,16 @@ std::vector<detail::WorkerResult> run_sockets(const DistExecOptions& exec,
   return results;
 }
 
-std::vector<detail::WorkerResult> run_mesh(const graph::Graph& g, Mode mode,
-                                           const ProtoOptions& proto,
+std::vector<detail::WorkerResult> run_mesh(const graph::Graph& g,
+                                           const detail::ProtoOptions& proto,
                                            support::WorkCounter* work,
                                            const DistExecOptions& exec) {
   SPAR_CHECK(exec.shards >= 1, "dist runner: shards must be >= 1");
   std::vector<detail::WorkerResult> results;
   if (exec.backend == DistBackend::kLoopback) {
-    results = run_loopback(exec.shards, mode, g, proto, work);
+    results = run_loopback(exec.shards, g, proto, work);
   } else {
-    results = run_sockets(exec, mode, g, proto, work);
+    results = run_sockets(exec, g, proto, work);
   }
   check_metrics_agree(results);
   return results;
@@ -327,14 +232,70 @@ std::vector<ShardEdges> take_slices(std::vector<detail::WorkerResult>& shards) {
 
 }  // namespace
 
+detail::WorkerResult detail::run_one_shard(Transport& net,
+                                           const graph::Graph& g,
+                                           const ProtoOptions& proto,
+                                           support::WorkCounter* work) {
+  WorkerResult res;
+  switch (proto.mode) {
+    case Mode::kSpanner: {
+      DistSpannerOptions opt;
+      opt.k = proto.k;
+      opt.seed = proto.seed;
+      opt.work = work;
+      const graph::EdgeArena arena(g);
+      ShardSpannerOutput out =
+          run_shard_spanner(net, arena.view(), nullptr, opt);
+      res.spanner_ids = std::move(out.owned_spanner_edges);
+      res.metrics = out.metrics;
+      break;
+    }
+    case Mode::kSample: {
+      DistSampleOptions opt;
+      opt.epsilon = proto.epsilon;
+      opt.t = proto.t;
+      opt.keep_probability = proto.keep_probability;
+      opt.seed = proto.seed;
+      opt.work = work;
+      ShardSampleOutput out = run_shard_sample(net, g, opt);
+      res.owned = std::move(out.owned);
+      res.final_edges = out.final_edges;
+      res.bundle_edges = out.bundle_edges;
+      res.off_bundle_edges = out.off_bundle_edges;
+      res.sampled_edges = out.sampled_edges;
+      res.t_used = out.t_used;
+      res.metrics = out.metrics;
+      break;
+    }
+    case Mode::kSparsify: {
+      DistSparsifyOptions opt;
+      opt.epsilon = proto.epsilon;
+      opt.rho = proto.rho;
+      opt.t = proto.t;
+      opt.keep_probability = proto.keep_probability;
+      opt.seed = proto.seed;
+      opt.work = work;
+      ShardSparsifyOutput out = run_shard_sparsify(net, g, opt);
+      res.owned = std::move(out.owned);
+      res.final_edges = out.final_edges;
+      res.rounds = std::move(out.rounds);
+      res.metrics = out.metrics;
+      break;
+    }
+  }
+  res.wire = net.wire();
+  return res;
+}
+
 DistSpannerResult run_distributed_spanner(const graph::Graph& g,
                                           const DistSpannerOptions& options,
                                           const DistExecOptions& exec) {
-  ProtoOptions proto;
+  detail::ProtoOptions proto;
+  proto.mode = detail::Mode::kSpanner;
   proto.k = options.k;
   proto.seed = options.seed;
   std::vector<detail::WorkerResult> shards =
-      run_mesh(g, Mode::kSpanner, proto, options.work, exec);
+      run_mesh(g, proto, options.work, exec);
 
   DistSpannerResult result;
   result.metrics = shards[0].metrics;
@@ -350,13 +311,14 @@ DistSpannerResult run_distributed_spanner(const graph::Graph& g,
 DistSampleResult run_distributed_sample(const graph::Graph& g,
                                         const DistSampleOptions& options,
                                         const DistExecOptions& exec) {
-  ProtoOptions proto;
+  detail::ProtoOptions proto;
+  proto.mode = detail::Mode::kSample;
   proto.epsilon = options.epsilon;
   proto.t = options.t;
   proto.keep_probability = options.keep_probability;
   proto.seed = options.seed;
   std::vector<detail::WorkerResult> shards =
-      run_mesh(g, Mode::kSample, proto, options.work, exec);
+      run_mesh(g, proto, options.work, exec);
 
   DistSampleResult result;
   result.bundle_edges = static_cast<std::size_t>(shards[0].bundle_edges);
@@ -376,14 +338,15 @@ DistSampleResult run_distributed_sample(const graph::Graph& g,
 DistSparsifyResult run_distributed_sparsify(const graph::Graph& g,
                                             const DistSparsifyOptions& options,
                                             const DistExecOptions& exec) {
-  ProtoOptions proto;
+  detail::ProtoOptions proto;
+  proto.mode = detail::Mode::kSparsify;
   proto.epsilon = options.epsilon;
   proto.rho = options.rho;
   proto.t = options.t;
   proto.keep_probability = options.keep_probability;
   proto.seed = options.seed;
   std::vector<detail::WorkerResult> shards =
-      run_mesh(g, Mode::kSparsify, proto, options.work, exec);
+      run_mesh(g, proto, options.work, exec);
 
   DistSparsifyResult result;
   result.rounds = shards[0].rounds;

@@ -321,27 +321,19 @@ ShardSpannerOutput spanner_impl(World& w, const std::vector<bool>* alive,
 // PARALLELSAMPLE round
 // ---------------------------------------------------------------------------
 
-struct RoundStats {
-  std::size_t edges_before = 0;
-  std::size_t edges_after = 0;
-  std::size_t bundle_edges = 0;
-  std::size_t off_bundle_edges = 0;
-  std::size_t sampled_edges = 0;
-  std::size_t t_used = 0;
-};
-
 /// One sharded PARALLELSAMPLE round over the world's current directory and
-/// slice. Mirrors dist_sample_round / sparsify::parallel_sample_round: same
+/// slice. Mirrors sparsify::parallel_sample_round and returns its stats: same
 /// seed derivations (bundle_seed, coin_seed, mix64(seed, i+1) per peel
 /// component), same verdict arithmetic, same model metrics.
-RoundStats shard_sample_round(World& w, const DistSampleOptions& options,
-                              DistMetrics& metrics) {
+sparsify::SampleRoundStats shard_sample_round(World& w,
+                                              const DistSampleOptions& options,
+                                              DistMetrics& metrics) {
   SPAR_CHECK(options.epsilon > 0.0,
-             "distributed_parallel_sample: epsilon must be positive");
+             "run_distributed_sample: epsilon must be positive");
   SPAR_CHECK(options.keep_probability > 0.0 && options.keep_probability <= 1.0,
-             "distributed_parallel_sample: keep_probability must be in (0, 1]");
+             "run_distributed_sample: keep_probability must be in (0, 1]");
 
-  RoundStats stats;
+  sparsify::SampleRoundStats stats;
   const std::size_t m = w.num_edges();
   stats.edges_before = m;
   stats.t_used = options.t != 0
@@ -482,7 +474,8 @@ ShardSampleOutput run_shard_sample(Transport& net, const Graph& g,
 
   ShardSampleOutput out;
   out.metrics.max_message_words = kWordsPerMessage;
-  const RoundStats stats = shard_sample_round(w, options, out.metrics);
+  const sparsify::SampleRoundStats stats =
+      shard_sample_round(w, options, out.metrics);
   out.owned = slice_to_edges(w.slice);
   out.final_edges = stats.edges_after;
   out.bundle_edges = stats.bundle_edges;
@@ -495,9 +488,9 @@ ShardSampleOutput run_shard_sample(Transport& net, const Graph& g,
 ShardSparsifyOutput run_shard_sparsify(Transport& net, const Graph& g,
                                        const DistSparsifyOptions& options) {
   SPAR_CHECK(options.epsilon > 0.0,
-             "distributed_parallel_sparsify: epsilon must be positive");
+             "run_distributed_sparsify: epsilon must be positive");
   SPAR_CHECK(options.rho >= 1.0,
-             "distributed_parallel_sparsify: rho must be >= 1");
+             "run_distributed_sparsify: rho must be >= 1");
 
   World w = make_world(net, g);
   w.slice = graph::make_shard_slice(w.directory_view(), w.part, w.self);
@@ -519,7 +512,8 @@ ShardSparsifyOutput run_shard_sparsify(Transport& net, const Graph& g,
 
       DistRound stats;
       stats.metrics.max_message_words = kWordsPerMessage;
-      const RoundStats sample = shard_sample_round(w, sopt, stats.metrics);
+      const sparsify::SampleRoundStats sample =
+          shard_sample_round(w, sopt, stats.metrics);
       stats.edges_before = sample.edges_before;
       stats.edges_after = sample.edges_after;
       out.rounds.push_back(stats);

@@ -26,7 +26,7 @@
 // compaction ranks are recomputed identically everywhere instead of being
 // communicated. The result is bit-identical output for ANY shard count and
 // either transport -- the same edge sets, in the same order, with the same
-// model metrics as the one-process simulator and the shared-memory
+// model metrics as a one-shard run and the shared-memory
 // implementations (pinned by tests/dist/test_shard.cpp).
 //
 // Each shard holds its owned edges as a graph::ShardSlice (EdgeArena slice,
@@ -54,7 +54,7 @@ struct ShardSpannerOutput {
 
 /// SPMD spanner: every shard of `net` calls this with the same `edges`,
 /// `alive` mask and options. The union of owned_spanner_edges over shards
-/// equals distributed_spanner's (and baswana_sen_spanner's) edge set.
+/// equals baswana_sen_spanner's edge set on the same mask.
 ShardSpannerOutput run_shard_spanner(Transport& net,
                                      const graph::EdgeView& edges,
                                      const std::vector<bool>* alive,
@@ -82,7 +82,8 @@ struct ShardSampleOutput {
   DistMetrics metrics;
 };
 
-/// SPMD PARALLELSAMPLE round (mirrors distributed_parallel_sample).
+/// SPMD PARALLELSAMPLE round: every shard's share of
+/// run_distributed_sample (dist/runner.hpp).
 ShardSampleOutput run_shard_sample(Transport& net, const graph::Graph& g,
                                    const DistSampleOptions& options);
 
@@ -93,7 +94,8 @@ struct ShardSparsifyOutput {
   DistMetrics metrics;
 };
 
-/// SPMD PARALLELSPARSIFY (mirrors distributed_parallel_sparsify).
+/// SPMD PARALLELSPARSIFY: every shard's share of run_distributed_sparsify
+/// (dist/runner.hpp).
 ShardSparsifyOutput run_shard_sparsify(Transport& net, const graph::Graph& g,
                                        const DistSparsifyOptions& options);
 

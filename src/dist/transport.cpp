@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -218,54 +217,14 @@ std::size_t recv_hello(const support::net::Socket& sock) {
   return h.src;
 }
 
-std::string port_file(const SocketMeshOptions& opt, std::size_t shard) {
-  return opt.tcp_rendezvous_dir + "/port." + std::to_string(shard);
-}
-
-/// Publish this shard's bound port. Write-then-rename so a polling peer
-/// never reads a half-written file.
-void publish_port(const SocketMeshOptions& opt, std::size_t shard,
-                  std::uint16_t port) {
-  const std::string final_path = port_file(opt, shard);
-  const std::string tmp_path = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp_path.c_str(), "w");
-  SPAR_CHECK(f != nullptr, "cannot write rendezvous file " + tmp_path);
-  std::fprintf(f, "%u\n", static_cast<unsigned>(port));
-  std::fclose(f);
-  SPAR_CHECK(std::rename(tmp_path.c_str(), final_path.c_str()) == 0,
-             "cannot publish rendezvous file " + final_path);
-}
-
-/// Poll a peer's port file until it appears (or the deadline passes).
-std::uint16_t read_port(const SocketMeshOptions& opt, std::size_t peer,
-                        std::chrono::steady_clock::time_point deadline) {
-  const std::string path = port_file(opt, peer);
-  for (;;) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f != nullptr) {
-      unsigned port = 0;
-      const int got = std::fscanf(f, "%u", &port);
-      std::fclose(f);
-      if (got == 1 && port > 0 && port <= 65535)
-        return static_cast<std::uint16_t>(port);
-    }
-    if (std::chrono::steady_clock::now() >= deadline)
-      throw Error("shard mesh rendezvous: no port file from shard " +
-                  std::to_string(peer));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-}
-
 support::net::Socket connect_with_retry(const SocketMeshOptions& opt,
                                         std::size_t peer) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opt.connect_timeout_ms);
   for (;;) {
     try {
-      if (!opt.unix_base.empty())
-        return support::net::connect_unix(opt.unix_base + "." +
-                                          std::to_string(peer));
-      return support::net::connect_tcp(read_port(opt, peer, deadline));
+      return support::net::connect_unix(opt.unix_base + "." +
+                                        std::to_string(peer));
     } catch (const Error&) {
       // Peer process may still be booting its listener; retry until the
       // rendezvous deadline.
@@ -283,23 +242,16 @@ SocketTransport::SocketTransport(std::size_t shard, std::size_t shards,
   SPAR_CHECK(shards_ >= 1 && shard_ < shards_,
              "socket transport shard " + std::to_string(shard_) + " of " +
                  std::to_string(shards_));
-  SPAR_CHECK(options.unix_base.empty() != options.tcp_rendezvous_dir.empty(),
-             "socket mesh wants exactly one of unix_base / tcp_rendezvous_dir");
+  SPAR_CHECK(!options.unix_base.empty(), "socket mesh wants a unix_base");
   peers_.resize(shards_);
   if (shards_ == 1) return;
 
   // Rendezvous: everyone listens; shard s dials every lower-numbered peer
   // (so each edge of the mesh has exactly one dialer) and identifies itself
   // with a hello frame; accepted connections are filed under the shard id
-  // their hello announces, which makes accept order irrelevant. TCP shards
-  // bind port 0 and publish the kernel's pick through the rendezvous dir.
-  support::net::Listener listener =
-      !options.unix_base.empty()
-          ? support::net::Listener::unix_domain(options.unix_base + "." +
-                                                std::to_string(shard_))
-          : support::net::Listener::tcp(0);
-  if (options.unix_base.empty())
-    publish_port(options, shard_, listener.port());
+  // their hello announces, which makes accept order irrelevant.
+  support::net::Listener listener = support::net::Listener::unix_domain(
+      options.unix_base + "." + std::to_string(shard_));
 
   for (std::size_t peer = 0; peer < shard_; ++peer) {
     support::net::Socket sock = connect_with_retry(options, peer);

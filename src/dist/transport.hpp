@@ -11,10 +11,10 @@
 //    per-(src,dst) mailboxes under a generation barrier. Zero-copy, zero
 //    framing: this is the PR 1 simulator's semantics as a backend. With one
 //    shard it degenerates to the sequential simulator exactly.
-//  * SocketTransport -- one OS process per shard, full-mesh stream sockets
-//    (UNIX-domain or loopback TCP via support/net.hpp), one checksummed
-//    length-prefixed frame per (peer, superstep) -- empty batches still
-//    frame, which is what makes a superstep a barrier. The checksum is the
+//  * SocketTransport -- one OS process per shard, full-mesh UNIX-domain
+//    stream sockets (support/net.hpp), one checksummed length-prefixed
+//    frame per (peer, superstep) -- empty batches still frame, which is
+//    what makes a superstep a barrier. The checksum is the
 //    SPARBIN chunked-FNV discipline (support/framing.hpp) seeded with
 //    (src, round, count) so spliced or reordered frames fail verification.
 //
@@ -133,14 +133,10 @@ class LoopbackHub {
   Impl* impl_;
 };
 
-/// Where a socket mesh lives: exactly one of the two address families.
+/// Where a socket mesh lives.
 struct SocketMeshOptions {
-  /// AF_UNIX: shard s listens on "<unix_base>.<s>". Empty = use TCP.
+  /// Shard s listens on the UNIX socket "<unix_base>.<s>". Required.
   std::string unix_base;
-  /// TCP (127.0.0.1 only): every shard binds a kernel-assigned port and
-  /// publishes it as "<tcp_rendezvous_dir>/port.<s>" (written atomically);
-  /// dialers poll peers' port files. No pre-agreed ports, no bind races.
-  std::string tcp_rendezvous_dir;
   /// How long the rendezvous retries while peers are still starting up.
   int connect_timeout_ms = 15000;
 };

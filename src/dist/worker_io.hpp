@@ -1,15 +1,25 @@
-// Result-file format between dist_worker processes and the launcher
-// (dist/runner.cpp). Internal to src/dist; not installed API.
+// The contract between the launcher (dist/runner.cpp) and its dist_worker
+// processes. Internal to src/dist; not installed API.
 //
-// A worker's whole output -- its owned edge slice, per-run stats, model
-// metrics and wire metrics -- is flattened into a word stream (doubles
-// bit-cast), framed as magic + word count + payload + chunked-FNV checksum
-// (support/framing.hpp, seeded with the count). The launcher refuses a
-// truncated or corrupted file instead of merging garbage.
+//  * The command line: WorkerArgs is everything one worker needs, the runner
+//    writes it with worker_flags() and the worker reads it back with
+//    read_worker_args(), so every flag is named in exactly one place.
+//  * The shard dispatch: run_one_shard() runs a mode's protocol core on one
+//    Transport endpoint, for loopback threads and worker processes alike.
+//  * The result file: a worker's whole output -- its owned edge slice,
+//    per-run stats, model metrics and wire metrics -- is flattened into a
+//    word stream (doubles bit-cast), framed as magic + word count + payload
+//    + chunked-FNV checksum (support/framing.hpp, seeded with the count).
+//    The launcher refuses a truncated or corrupted file instead of merging
+//    garbage.
 #pragma once
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,8 +27,101 @@
 #include "support/assert.hpp"
 #include "support/error.hpp"
 #include "support/framing.hpp"
+#include "support/options.hpp"
+#include "support/work_counter.hpp"
 
 namespace spar::dist::detail {
+
+/// The protocol a worker runs (its --mode).
+enum class Mode { kSpanner, kSample, kSparsify };
+
+inline constexpr const char* kModeNames[] = {"spanner", "sample", "sparsify"};
+
+/// All three protocol option sets flattened for the worker command line.
+struct ProtoOptions {
+  Mode mode = Mode::kSpanner;
+  std::size_t k = 0;
+  double epsilon = 0.5;
+  double rho = 4.0;
+  std::size_t t = 0;
+  double keep_probability = 0.25;
+  std::uint64_t seed = 1;
+};
+
+/// One worker's command line: the shard it plays, its input graph, result
+/// file and mesh, and the protocol to run.
+struct WorkerArgs {
+  std::string graph_path;
+  std::string out_path;
+  std::size_t shard = 0;
+  std::size_t shards = 1;
+  SocketMeshOptions mesh;
+  ProtoOptions proto;
+};
+
+/// The dist_worker flags (everything after argv[0]) that carry `args`.
+inline std::vector<std::string> worker_flags(const WorkerArgs& args) {
+  const auto exact = [](double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", x);  // round-trips every double
+    return std::string(buf);
+  };
+  const ProtoOptions& p = args.proto;
+  return {
+      "--graph=" + args.graph_path,
+      "--out=" + args.out_path,
+      "--shard=" + std::to_string(args.shard),
+      "--shards=" + std::to_string(args.shards),
+      "--unix-base=" + args.mesh.unix_base,
+      "--connect-timeout-ms=" + std::to_string(args.mesh.connect_timeout_ms),
+      std::string("--mode=") + kModeNames[static_cast<int>(p.mode)],
+      "--k=" + std::to_string(p.k),
+      "--epsilon=" + exact(p.epsilon),
+      "--rho=" + exact(p.rho),
+      "--t=" + std::to_string(p.t),
+      "--keep-probability=" + exact(p.keep_probability),
+      "--seed=" + std::to_string(p.seed),
+  };
+}
+
+/// Reads a worker command line back. Unknown flags, missing required ones
+/// and out-of-range integers throw before anything is loaded: k is capped at
+/// 64 clustering levels, enough for stretch 2k-1 at any n < 2^64.
+inline WorkerArgs read_worker_args(const support::Options& opts) {
+  opts.reject_unknown({"graph", "out", "shard", "shards", "unix-base",
+                       "connect-timeout-ms", "mode", "k", "epsilon", "rho", "t",
+                       "keep-probability", "seed"});
+  constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
+  WorkerArgs args;
+  ProtoOptions& p = args.proto;
+  args.graph_path = opts.get("graph", "");
+  args.out_path = opts.get("out", "");
+  args.mesh.unix_base = opts.get("unix-base", "");
+  const std::string mode = opts.get("mode", "");
+  SPAR_CHECK(!args.graph_path.empty() && !args.out_path.empty() &&
+                 !args.mesh.unix_base.empty() && !mode.empty(),
+             "--graph, --mode, --out and --unix-base are required");
+  const auto* names = std::begin(kModeNames);
+  const auto* name = std::find(names, std::end(kModeNames), mode);
+  SPAR_CHECK(name != std::end(kModeNames), "unknown --mode " + mode);
+  p.mode = static_cast<Mode>(name - names);
+
+  args.shards =
+      static_cast<std::size_t>(opts.get_int_in("shards", 1, 1, kNoCap));
+  args.shard = static_cast<std::size_t>(opts.get_int_in(
+      "shard", 0, 0, static_cast<std::int64_t>(args.shards) - 1));
+  args.mesh.connect_timeout_ms = static_cast<int>(opts.get_int_in(
+      "connect-timeout-ms", args.mesh.connect_timeout_ms, 1,
+      std::numeric_limits<int>::max()));
+  p.k = static_cast<std::size_t>(opts.get_int_in("k", 0, 0, 64));
+  p.epsilon = opts.get_double("epsilon", p.epsilon);
+  p.rho = opts.get_double("rho", p.rho);
+  p.t = static_cast<std::size_t>(opts.get_int_in("t", 0, 0, kNoCap));
+  p.keep_probability = opts.get_double("keep-probability", p.keep_probability);
+  p.seed =
+      support::parse_number<std::uint64_t>("--seed", opts.get("seed", "1"));
+  return args;
+}
 
 inline constexpr std::uint64_t kWorkerFileMagic = 0x5350415257524b52ULL;  // "SPARWRKR"
 
@@ -36,6 +139,13 @@ struct WorkerResult {
   WireMetrics wire;
   std::uint64_t work = 0;  // WorkCounter total of this shard's share
 };
+
+/// Runs shard net.shard_id()'s share of `proto.mode` on `g` (every shard of
+/// the mesh calls this with the same graph and options) and collects its
+/// result, wire metrics included.
+WorkerResult run_one_shard(Transport& net, const graph::Graph& g,
+                           const ProtoOptions& proto,
+                           support::WorkCounter* work);
 
 class WordWriter {
  public:

@@ -8,9 +8,10 @@
 namespace spar::linalg {
 
 namespace {
-// Mirrors vector_ops.cpp's threshold so the fused reductions enable
-// parallelism exactly where the single-vector primitives do (chunk
-// boundaries, and therefore bits, must match).
+// Mirrors vector_ops.cpp's threshold so the fused reductions run on the pool
+// exactly where the single-vector primitives do. It only picks inline versus
+// pool execution: default_grain fixes the chunk boundaries, and therefore
+// the bits, either way.
 constexpr std::int64_t kParThreshold = 1 << 14;
 
 namespace par = support::par;

@@ -26,7 +26,7 @@
 // build -- the build cost is reported separately in the server's registry
 // stats (build_micros). --warmup=0 includes the cold build in level 1.
 //
-//   load_gen (--socket=/tmp/spar.sock | --tcp-port=P) --spec=gen:grid:64x64
+//   load_gen --socket=/tmp/spar.sock --spec=gen:grid:64x64
 //     [--requests=200] [--rates=4,16,64 | --concurrency=16]
 //     [--seed=1] [--warmup=1] [--quick] [--json=out.json] [--no-verify]
 //     [--shutdown-server] [--graph=g] [--tolerance=1e-8]
@@ -260,8 +260,7 @@ std::vector<double> parse_csv(const std::string& s, const char* what) {
 int run(int argc, char** argv) {
   support::Options opt(argc, argv);
   opt.reject_unknown({"socket", "spec", "requests", "rates", "concurrency", "seed", "warmup",
-                      "quick", "json", "no-verify", "shutdown-server", "graph", "tolerance",
-                      "tcp-port"});
+                      "quick", "json", "no-verify", "shutdown-server", "graph", "tolerance"});
   const bool quick = opt.get_bool("quick", false);
   const std::string socket_path = opt.get("socket", "/tmp/spar_solver.sock");
   const std::string spec = opt.get("spec", quick ? "gen:grid:24x24" : "gen:grid:64x64");
@@ -273,7 +272,6 @@ int run(int argc, char** argv) {
   const std::size_t warmup = static_cast<std::size_t>(opt.get_int_in("warmup", 1, 0, kNoCap));
   const double tolerance = opt.get_double("tolerance", 1e-8);
   const bool verify = !opt.get_bool("no-verify", false);
-  const auto tcp_port = static_cast<std::uint16_t>(opt.get_int_in("tcp-port", 0, 0, 65535));
 
   // Local twin of the server-side graph: the oracle and the RHS shapes.
   const graph::Graph g = spec.rfind("gen:", 0) == 0 ? graph::generate_spec(spec)
@@ -282,10 +280,7 @@ int run(int argc, char** argv) {
   const std::size_t n = m.dimension();
   const bool mean_free = m.is_singular();
 
-  // --tcp-port connects over loopback TCP (matching solver_server
-  // --tcp-port); the default stays the UNIX socket path.
-  Socket sock = opt.has("tcp-port") ? server::connect_tcp(tcp_port)
-                                   : server::connect_unix(socket_path);
+  Socket sock = server::connect_unix(socket_path);
 
   // Register the graph (idempotent: replaces any previous binding of name).
   {

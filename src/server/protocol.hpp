@@ -54,7 +54,6 @@ namespace spar::server {
 // server code keeps its established vocabulary.
 using support::net::Listener;
 using support::net::Socket;
-using support::net::connect_tcp;
 using support::net::connect_unix;
 
 inline constexpr std::uint32_t kProtocolVersion = 1;

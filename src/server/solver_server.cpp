@@ -8,7 +8,7 @@
 //   solver_server --socket=/tmp/spar.sock
 //     [--max-batch=16] [--deadline-us=2000] [--chain-memory-budget=BYTES]
 //     [--tolerance=1e-8] [--max-iterations=20000]
-//     [--graph=name=gen:grid:64x64 ...] [--tcp-port=P [--port-file=PATH]]
+//     [--graph=name=gen:grid:64x64 ...]
 //
 // --max-batch=1 serves every request alone (the per-request baseline). An
 // option not listed here is an error. Solves run on the process-wide thread
@@ -17,10 +17,6 @@
 // --graph preloads name->spec pairs at startup (clients can also register
 // graphs over the wire with kRegisterGraph). A kShutdown frame from any
 // client drains the service and exits cleanly.
-//
-// --tcp-port=P listens on TCP 127.0.0.1:P instead of the UNIX socket
-// (loopback only; see support/net.hpp). P=0 asks the kernel for a free
-// port; --port-file records the bound port so clients can find it.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -195,7 +191,7 @@ int run(int argc, char** argv) {
   support::Options opt(argc, argv);
   // Flag and range checks come before any thread starts or socket binds.
   opt.reject_unknown({"socket", "max-batch", "deadline-us", "tolerance", "max-iterations",
-                      "chain-memory-budget", "graph", "tcp-port", "port-file"});
+                      "chain-memory-budget", "graph"});
   const std::string socket_path = opt.get("socket", "/tmp/spar_solver.sock");
 
   constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
@@ -209,8 +205,6 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(opt.get_int_in("max-iterations", 20000, 1, kNoCap));
   service_opt.registry.memory_budget_bytes =
       static_cast<std::size_t>(opt.get_int_in("chain-memory-budget", 0, 0, kNoCap));
-  const bool use_tcp = opt.has("tcp-port");
-  const auto tcp_port = static_cast<std::uint16_t>(opt.get_int_in("tcp-port", 0, 0, 65535));
 
   server::SolverService service(service_opt);
 
@@ -231,28 +225,11 @@ int run(int argc, char** argv) {
     }
   }
 
-  // Transport: UNIX socket by default, loopback TCP with --tcp-port (the
-  // shared support/net listener both the service and src/dist use).
-  server::Listener listener = use_tcp ? server::Listener::tcp(tcp_port)
-                                      : server::Listener::unix_domain(socket_path);
-  if (use_tcp && opt.has("port-file")) {
-    // Written after listen() so a polling client never reads a dead port.
-    const std::string port_file = opt.get("port-file", "");
-    std::FILE* f = std::fopen(port_file.c_str(), "w");
-    if (f == nullptr) throw Error("cannot write --port-file " + port_file);
-    std::fprintf(f, "%u\n", static_cast<unsigned>(listener.port()));
-    std::fclose(f);
-  }
+  server::Listener listener = server::Listener::unix_domain(socket_path);
   std::atomic<bool> stop{false};
-  if (use_tcp) {
-    std::fprintf(stderr, "[solver_server] listening on 127.0.0.1:%u (max-batch=%zu deadline-us=%llu)\n",
-                 static_cast<unsigned>(listener.port()), service_opt.max_batch,
-                 static_cast<unsigned long long>(service_opt.deadline_us));
-  } else {
-    std::fprintf(stderr, "[solver_server] listening on %s (max-batch=%zu deadline-us=%llu)\n",
-                 socket_path.c_str(), service_opt.max_batch,
-                 static_cast<unsigned long long>(service_opt.deadline_us));
-  }
+  std::fprintf(stderr, "[solver_server] listening on %s (max-batch=%zu deadline-us=%llu)\n",
+               socket_path.c_str(), service_opt.max_batch,
+               static_cast<unsigned long long>(service_opt.deadline_us));
 
   std::vector<std::thread> threads;
   std::vector<std::shared_ptr<Connection>> connections;

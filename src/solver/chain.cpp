@@ -51,6 +51,8 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
     // chain is then used as a PCG preconditioner with constant projection.
     if (info.gamma <= kGammaStop) break;
     if (current.graph_part().num_edges() == 0) break;
+    // The last level never squares: its square would be dropped.
+    if (level + 1 == options.max_levels) break;
 
     // Pick the squaring path BEFORE committing product memory: the symbolic
     // fill projection is O(nnz).

@@ -1,8 +1,5 @@
 #include "support/net.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -27,14 +24,6 @@ sockaddr_un make_unix_addr(const std::string& path) {
   if (path.size() + 1 > sizeof(addr.sun_path))
     throw spar::Error("socket path too long: " + path);
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  return addr;
-}
-
-sockaddr_in make_tcp_addr(std::uint16_t port, bool any_interface) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(any_interface ? INADDR_ANY : INADDR_LOOPBACK);
   return addr;
 }
 
@@ -111,29 +100,8 @@ Listener Listener::unix_domain(const std::string& path, int backlog) {
   return l;
 }
 
-Listener Listener::tcp(std::uint16_t port, int backlog, bool any_interface) {
-  Listener l;
-  l.fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (l.fd_ < 0) fail("socket");
-  const int one = 1;
-  ::setsockopt(l.fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr = make_tcp_addr(port, any_interface);
-  if (::bind(l.fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0)
-    fail("bind tcp port " + std::to_string(port));
-  // Read the bound address back so tcp(0, ...) reports the kernel's pick.
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(l.fd_, reinterpret_cast<sockaddr*>(&addr), &addr_len) != 0)
-    fail("getsockname");
-  l.port_ = ntohs(addr.sin_port);
-  if (::listen(l.fd_, backlog) != 0)
-    fail("listen tcp port " + std::to_string(l.port_));
-  return l;
-}
-
 Listener::Listener(Listener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      path_(std::move(other.path_)),
-      port_(std::exchange(other.port_, 0)) {
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {
   other.path_.clear();
 }
 
@@ -144,7 +112,6 @@ Listener& Listener::operator=(Listener&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
     other.path_.clear();
-    port_ = std::exchange(other.port_, 0);
   }
   return *this;
 }
@@ -178,19 +145,6 @@ Socket connect_unix(const std::string& path) {
     ::close(fd);
     errno = saved;
     fail("connect " + path);
-  }
-  return Socket(fd);
-}
-
-Socket connect_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) fail("socket");
-  const sockaddr_in addr = make_tcp_addr(port, /*any_interface=*/false);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    errno = saved;
-    fail("connect tcp port " + std::to_string(port));
   }
   return Socket(fd);
 }

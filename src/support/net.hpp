@@ -1,19 +1,13 @@
-// Hardened stream-socket substrate shared by the solver service
+// Hardened UNIX-domain stream-socket substrate shared by the solver service
 // (src/server) and the sharded distributed runtime (src/dist).
 //
 // Extracted from src/server/socket.* once the distributed layer needed the
 // same primitives: ONE audited implementation of full-length transfers,
-// SIGPIPE immunity and RAII fd ownership instead of drifting copies. Two
-// address families are supported:
-//
-//  * AF_UNIX stream sockets -- the default for both consumers (a local
-//    daemon sharing chains between processes; a single-machine shard mesh):
-//    no TCP stack, no address configuration, file permissions as access
-//    control.
-//  * TCP over the loopback interface -- the recorded ROADMAP item 3
-//    extension. Listeners bind 127.0.0.1 ONLY by default; nothing in this
-//    repo opens a port to the network unless `any_interface` is requested
-//    explicitly.
+// SIGPIPE immunity and RAII fd ownership instead of drifting copies. Both
+// consumers are single-host (a local daemon sharing chains between
+// processes; a shard mesh of processes on one machine), so the only address
+// family is AF_UNIX: no network stack, no address configuration, file
+// permissions as access control.
 //
 // The transfer discipline is what the framed wire protocols need:
 //
@@ -30,13 +24,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 namespace spar::support::net {
 
-/// One connected stream socket (client side or an accepted server-side
-/// connection), UNIX-domain or TCP. Move-only; closes the fd on destruction.
+/// One connected UNIX-domain stream socket (client side or an accepted
+/// server-side connection). Move-only; closes the fd on destruction.
 class Socket {
  public:
   Socket() = default;
@@ -72,18 +65,12 @@ class Socket {
   int fd_ = -1;
 };
 
-/// A listening stream socket: either bound to a filesystem path (AF_UNIX)
-/// or to a loopback TCP port. Unlinks any stale UNIX socket file at bind
-/// time and removes its own on destruction.
+/// A listening stream socket bound to a filesystem path (AF_UNIX). Unlinks
+/// any stale socket file at bind time and removes its own on destruction.
 class Listener {
  public:
   /// Listen on a UNIX-domain socket at `path` (replacing a stale file).
   static Listener unix_domain(const std::string& path, int backlog = 64);
-
-  /// Listen on TCP `port` (0 = kernel-assigned; read back via port()).
-  /// Binds 127.0.0.1 unless `any_interface` -- loopback-only by default.
-  static Listener tcp(std::uint16_t port, int backlog = 64,
-                      bool any_interface = false);
 
   Listener(Listener&& other) noexcept;
   Listener& operator=(Listener&& other) noexcept;
@@ -101,26 +88,18 @@ class Listener {
 
   bool valid() const { return fd_ >= 0; }
 
-  /// Bound UNIX socket path (empty for TCP listeners).
+  /// Bound socket path.
   const std::string& path() const { return path_; }
-
-  /// Bound TCP port (0 for UNIX listeners). For tcp(0, ...) this is the
-  /// kernel-assigned ephemeral port.
-  std::uint16_t port() const { return port_; }
 
  private:
   Listener() = default;
 
   int fd_ = -1;
   std::string path_;
-  std::uint16_t port_ = 0;
 };
 
 /// Connects to a listening UNIX socket at `path`. Throws spar::Error if the
 /// server is not there.
 Socket connect_unix(const std::string& path);
-
-/// Connects to TCP `port` on 127.0.0.1. Throws spar::Error on failure.
-Socket connect_tcp(std::uint16_t port);
 
 }  // namespace spar::support::net

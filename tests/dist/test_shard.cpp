@@ -1,12 +1,12 @@
 // shard.hpp + runner.hpp: THE property this layer exists for -- bit-identical
 // output for every shard count and every transport. The golden baseline is
 // the shared-memory implementation (spanner::baswana_sen_spanner,
-// sparsify::parallel_sparsify); the legacy one-shard entry points
-// (dist_spanner.cpp) already equal it via the existing integration tests, and
-// here the S-shard meshes must equal it too: same edge sets in the same
-// order, same model-level DistMetrics, for loopback threads and for real
-// dist_worker processes over UNIX/TCP sockets. Wire accounting must
-// reconcile on every mesh (words * 8 + frames * header == wire_bytes).
+// sparsify::parallel_sparsify); the one-shard runs already equal it via the
+// existing integration tests, and here the S-shard meshes must equal it too:
+// same edge sets in the same order, same model-level DistMetrics, for
+// loopback threads and for real dist_worker processes over UNIX sockets.
+// Wire accounting must reconcile on every mesh (words * 8 + frames * header
+// == wire_bytes).
 #include "dist/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -73,9 +73,9 @@ TEST(Shard, SpannerBitIdenticalAcrossShardCounts) {
   DistSpannerOptions opt;
   opt.k = 0;
   opt.seed = 15;
-  const DistSpannerResult base = distributed_spanner(csr, nullptr, opt);
-  // The legacy entry point already equals the shared-memory spanner
-  // (pinned in tests/integration); re-pin here so this suite stands alone.
+  const DistSpannerResult base = run_distributed_spanner(g, opt, {});
+  // The one-shard run already equals the shared-memory spanner (pinned in
+  // tests/integration); re-pin here so this suite stands alone.
   const std::vector<graph::EdgeId> shared =
       spanner::baswana_sen_spanner(csr, nullptr, {.k = 0, .seed = 15});
   EXPECT_EQ(base.spanner_edges, shared);
@@ -98,7 +98,7 @@ TEST(Shard, SampleBitIdenticalAcrossShardCounts) {
   DistSampleOptions opt;
   opt.t = 3;
   opt.seed = 13;
-  const DistSampleResult base = distributed_parallel_sample(g, opt);
+  const DistSampleResult base = run_distributed_sample(g, opt, {});
 
   for (std::size_t shards : {2u, 4u}) {
     DistSampleResult got = run_distributed_sample(
@@ -121,7 +121,7 @@ TEST(Shard, SparsifyBitIdenticalAcrossShardCountsAndSharedMemory) {
   opt.rho = 4.0;
   opt.t = 3;
   opt.seed = 29;
-  const DistSparsifyResult base = distributed_parallel_sparsify(g, opt);
+  const DistSparsifyResult base = run_distributed_sparsify(g, opt, {});
 
   sparsify::SparsifyOptions shared_opt;
   shared_opt.rho = 4.0;
@@ -158,11 +158,10 @@ bool have_worker() {
 TEST(Shard, SpannerBitIdenticalOnUnixSocketMesh) {
   ASSERT_TRUE(have_worker()) << "dist_worker binary not built?";
   const Graph g = test_graph();
-  const graph::CSRGraph csr(g);
   DistSpannerOptions opt;
   opt.k = 0;
   opt.seed = 15;
-  const DistSpannerResult base = distributed_spanner(csr, nullptr, opt);
+  const DistSpannerResult base = run_distributed_spanner(g, opt, {});
 
   for (std::size_t shards : {2u, 4u}) {
     const DistSpannerResult got = run_distributed_spanner(
@@ -182,7 +181,7 @@ TEST(Shard, SparsifyBitIdenticalOnUnixSocketMesh) {
   opt.rho = 4.0;
   opt.t = 3;
   opt.seed = 29;
-  const DistSparsifyResult base = distributed_parallel_sparsify(g, opt);
+  const DistSparsifyResult base = run_distributed_sparsify(g, opt, {});
 
   DistSparsifyResult got = run_distributed_sparsify(
       g, opt, exec_options(3, DistBackend::kSocketUnix));
@@ -191,19 +190,19 @@ TEST(Shard, SparsifyBitIdenticalOnUnixSocketMesh) {
   expect_wire_reconciles(got.wire, /*socket=*/true);
 }
 
-TEST(Shard, SampleBitIdenticalOnTcpMesh) {
+TEST(Shard, SampleBitIdenticalOnUnixSocketMesh) {
   ASSERT_TRUE(have_worker()) << "dist_worker binary not built?";
   const Graph g = test_graph();
   DistSampleOptions opt;
   opt.t = 3;
   opt.seed = 13;
-  const DistSampleResult base = distributed_parallel_sample(g, opt);
+  const DistSampleResult base = run_distributed_sample(g, opt, {});
 
   DistSampleResult got = run_distributed_sample(
-      g, opt, exec_options(2, DistBackend::kSocketTcp));
+      g, opt, exec_options(2, DistBackend::kSocketUnix));
   EXPECT_TRUE(got.sparsifier.same_edges(base.sparsifier));
   EXPECT_EQ(got.sampled_edges, base.sampled_edges);
-  expect_same_metrics(got.metrics, base.metrics, "tcp shards=2");
+  expect_same_metrics(got.metrics, base.metrics, "socket shards=2");
   expect_wire_reconciles(got.wire, /*socket=*/true);
 }
 
@@ -214,6 +213,19 @@ TEST(Shard, SocketBackendRejectsMissingWorker) {
   exec.backend = DistBackend::kSocketUnix;
   exec.worker_path = "/nonexistent/dist_worker";
   EXPECT_THROW(run_distributed_spanner(g, {.k = 0, .seed = 1}, exec), Error);
+}
+
+TEST(Shard, SocketMeshTakesSeedsAboveInt64Max) {
+  // The runner writes the seed as an unsigned decimal; the worker must read
+  // all 64 bits back instead of rejecting what exceeds INT64_MAX.
+  ASSERT_TRUE(have_worker()) << "dist_worker binary not built?";
+  const Graph g = graph::connected_erdos_renyi(60, 0.2, 3);
+  const DistSpannerOptions opt{.k = 0, .seed = (1ULL << 63) + 5};
+  const DistSpannerResult base = run_distributed_spanner(g, opt, {});
+  const DistSpannerResult got = run_distributed_spanner(
+      g, opt, exec_options(2, DistBackend::kSocketUnix));
+  EXPECT_EQ(got.spanner_edges, base.spanner_edges);
+  expect_same_metrics(got.metrics, base.metrics, "seed 2^63 + 5");
 }
 
 TEST(Shard, MergeRejectsOverlappingSlices) {

@@ -178,7 +178,7 @@ TEST(Transport, LoopbackAbortReleasesBlockedEndpoints) {
 }
 
 TEST(Transport, SocketUnixMeshDeliversAndReconciles) {
-  for (std::size_t shards : {2u, 4u}) {
+  for (std::size_t shards : {2u, 3u, 4u}) {
     const std::string dir =
         scratch_dir("unix" + std::to_string(shards));
     SocketMeshOptions mesh;
@@ -190,19 +190,6 @@ TEST(Transport, SocketUnixMeshDeliversAndReconciles) {
         },
         exercise_transport);
   }
-}
-
-TEST(Transport, SocketTcpMeshDeliversAndReconciles) {
-  const std::size_t shards = 3;
-  const std::string dir = scratch_dir("tcp");
-  SocketMeshOptions mesh;
-  mesh.tcp_rendezvous_dir = dir;
-  run_mesh(
-      shards,
-      [&](std::size_t s) {
-        return std::make_unique<SocketTransport>(s, shards, mesh);
-      },
-      exercise_transport);
 }
 
 TEST(Transport, SocketPeerDeathSurfacesAsErrorNotHang) {

@@ -4,7 +4,7 @@
 // the CRCW-PRAM-style implementation debuggable and the benches reproducible.
 #include <gtest/gtest.h>
 
-#include "dist/dist_spanner.hpp"
+#include "dist/runner.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "spanner/baswana_sen.hpp"
@@ -80,12 +80,11 @@ TEST(Determinism, CsrConstructionIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, DistributedSpannerIndependentOfSharedMemoryThreads) {
   const Graph g = graph::connected_erdos_renyi(120, 0.1, 13);
-  const graph::CSRGraph csr(g);
   const auto base = run_with(1, [&] {
-    return dist::distributed_spanner(csr, nullptr, {.k = 0, .seed = 15});
+    return dist::run_distributed_spanner(g, {.k = 0, .seed = 15}, {});
   });
   const auto other = run_with(4, [&] {
-    return dist::distributed_spanner(csr, nullptr, {.k = 0, .seed = 15});
+    return dist::run_distributed_spanner(g, {.k = 0, .seed = 15}, {});
   });
   EXPECT_EQ(base.spanner_edges, other.spanner_edges);
   EXPECT_EQ(base.metrics.rounds, other.metrics.rounds);

@@ -10,7 +10,7 @@
 #include <tuple>
 #include <vector>
 
-#include "dist/dist_spanner.hpp"
+#include "dist/runner.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "linalg/vector_ops.hpp"
@@ -149,7 +149,7 @@ TEST(ParallelDeterminism, DistributedSimulatorReproducesSharedMemorySpanner) {
   const graph::CSRGraph csr(g);
   const auto shared =
       spanner::baswana_sen_spanner(csr, nullptr, {.k = 0, .seed = 23});
-  const auto distributed = dist::distributed_spanner(csr, nullptr, {.k = 0, .seed = 23});
+  const auto distributed = dist::run_distributed_spanner(g, {.k = 0, .seed = 23}, {});
   EXPECT_EQ(shared, distributed.spanner_edges);
 }
 
@@ -162,7 +162,7 @@ TEST(ParallelDeterminism, DistributedSampleReproducesSharedMemorySample) {
   dist::DistSampleOptions dist_opt;
   dist_opt.t = 3;
   dist_opt.seed = 31;
-  const auto distributed = dist::distributed_parallel_sample(g, dist_opt);
+  const auto distributed = dist::run_distributed_sample(g, dist_opt, {});
   EXPECT_TRUE(shared.sparsifier.same_edges(distributed.sparsifier));
   EXPECT_EQ(shared.bundle_edges, distributed.bundle_edges);
   EXPECT_EQ(shared.sampled_edges, distributed.sampled_edges);

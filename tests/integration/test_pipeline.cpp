@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "dist/dist_spanner.hpp"
+#include "dist/runner.hpp"
 #include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -87,7 +87,7 @@ TEST(Pipeline, DistributedAndSharedSamplesAgreeSpectrally) {
   dist::DistSampleOptions distributed;
   distributed.t = 3;
   distributed.seed = 13;
-  const auto dist_result = dist::distributed_parallel_sample(g, distributed);
+  const auto dist_result = dist::run_distributed_sample(g, distributed, {});
 
   const auto b1 = sparsify::exact_relative_bounds(g, shared_result.sparsifier);
   const auto b2 = sparsify::exact_relative_bounds(g, dist_result.sparsifier);
