@@ -9,12 +9,16 @@
 // resident. SIZE_MAX keeps every level dense.
 //
 // Table A: chain build per workload and mode (dense / streamed at each thread
-// count), wall-clock, stored size, and the peak resident edges of the worst
-// squaring step -- the number the streamed path exists to bound. Both chains
-// then drive solve_sdd on the same right-hand side at the same tolerance.
+// count), wall-clock, stored size, and the peak resident edges of the level-0
+// square -- the number the streamed path exists to bound. The depth probe
+// picks each chain's depth, and may keep a different number of levels in
+// the two modes; both make the level-0 square (the final level's info
+// records a square whose level the probe rejected), so that square is the
+// like-for-like comparison. Both chains then drive solve_sdd on the same
+// right-hand side at the same tolerance.
 //
 // Table B: per-level detail of the streamed build (fill projection, tower
-// passes, composed eps budget) on the first workload.
+// passes, composed eps budget, depth probe) on the first workload.
 //
 // Table C: small configs where the dense eigensolver certifies: the streamed
 // square's graph part must land inside (1 +- eps) of the exact square's.
@@ -79,8 +83,7 @@ struct BuildRecord {
   double build_ms = 0.0;
   std::size_t levels = 0;
   std::size_t total_nnz = 0;
-  std::size_t peak_resident = 0;   ///< worst squaring step across levels
-  std::size_t worst_projected = 0;  ///< largest fill projection across levels
+  std::size_t peak_resident = 0;  ///< resident peak of the level-0 square
   std::size_t iterations = 0;
   double residual = 0.0;
   bool converged = false;
@@ -94,10 +97,7 @@ BuildRecord run_mode(const solver::SDDMatrix& m, const solver::ChainOptions& cop
   rec.build_ms = timer.millis();
   rec.levels = chain->num_levels();
   rec.total_nnz = chain->total_nnz();
-  for (const auto& info : chain->level_info()) {
-    rec.peak_resident = std::max(rec.peak_resident, info.peak_resident_edges);
-    rec.worst_projected = std::max(rec.worst_projected, info.projected_fill);
-  }
+  rec.peak_resident = chain->level_info().front().peak_resident_edges;
 
   support::Rng rng(77);
   linalg::Vector b(m.dimension());
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
   };
 
   support::Table table({"workload", "mode", "threads", "build ms", "levels",
-                        "total nnz", "peak resident", "peak/dense", "iters",
+                        "total nnz", "L0 square peak", "peak/dense", "iters",
                         "residual"});
   bool printed_levels = false;
 
@@ -197,7 +197,8 @@ int main(int argc, char** argv) {
         first_hash = h;
         if (!printed_levels) {
           support::Table lvls({"level", "edges", "after square", "projected fill",
-                               "peak resident", "tower passes", "eps used", "gamma"});
+                               "peak resident", "tower passes", "eps used", "gamma",
+                               "probe iters", "probe work"});
           for (std::size_t i = 0; i < chain->level_info().size(); ++i) {
             const auto& info = chain->level_info()[i];
             lvls.add_row({std::to_string(i), std::to_string(info.edges),
@@ -206,7 +207,9 @@ int main(int argc, char** argv) {
                           std::to_string(info.peak_resident_edges),
                           std::to_string(info.sparsify_passes),
                           support::Table::cell(info.epsilon_budget_used),
-                          support::Table::cell(info.gamma)});
+                          support::Table::cell(info.gamma),
+                          std::to_string(info.probe_iterations),
+                          support::Table::cell(info.probe_work)});
           }
           lvls.print("E14 (b): streamed per-level detail, " + w.name);
           printed_levels = true;

@@ -76,16 +76,15 @@ int main(int argc, char** argv) {
     std::string family;
     graph::Vertex n;
   };
-  // Sized so the chain exceeds cache (the regime where one-traversal pays):
-  // the 240x240 grid's chain is ~9.7M stored nnz (~116 MB of CSR data).
-  // Bigger grids hit a squaring fill-in cliff in chain construction; keep
-  // instances on the tractable side of it.
+  // Sized so the chain exceeds L2 (the regime where one-traversal pays): the
+  // depth probe keeps 2 levels of the 240x240 grid's chain, ~0.8M stored nnz
+  // (~10 MB of CSR data), and 1 level of the er chain, ~0.3M; each builds in
+  // ~3 s.
   std::vector<Case> cases = {{"grid", 57600}, {"er", 16384}};
   if (quick) cases = {{"grid", 4096}, {"er", 1024}};
 
   solver::SolveOptions sopt;
   sopt.tolerance = tol;
-  sopt.chain.max_levels = 10;
   sopt.chain.rho = 8.0;
   sopt.chain.t = 1;
 

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
 
     solver::SolveOptions sopt;
     sopt.tolerance = 1e-8;
-    sopt.chain.max_levels = 10;
     sopt.chain.rho = 8.0;
     sopt.chain.t = 1;
 

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
 
   solver::SolveOptions sopt;
   sopt.tolerance = tol;
-  sopt.chain.max_levels = 10;
   sopt.chain.rho = 8.0;
   sopt.chain.t = 1;
 

@@ -524,7 +524,6 @@ int run(int argc, char** argv) {
             }
             const solver::SDDMatrix sm{graph::Graph(sparse)};
             solver::SolveOptions solve_opt;
-            solve_opt.chain.max_levels = 10;
             solve_opt.chain.rho = 8.0;
             solve_opt.chain.t = 1;
             solve_opt.chain.seed = seed;

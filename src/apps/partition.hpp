@@ -49,10 +49,9 @@ struct FiedlerOptions {
   solver::SolveOptions solve;
   std::uint64_t seed = 11;  ///< seeds the starting block
 
-  /// Defaults tighten the inner solve and chain against the app's needs.
+  /// Defaults: a tighter inner solve, chain levels sparsified harder.
   FiedlerOptions() {
     solve.tolerance = 1e-10;
-    solve.chain.max_levels = 10;
     solve.chain.rho = 8.0;
     solve.chain.t = 1;
   }

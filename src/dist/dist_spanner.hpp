@@ -70,7 +70,7 @@ struct DistMetrics {
 
 struct DistSpannerOptions {
   /// Clustering levels; stretch is 2k-1. 0 = auto (ceil(log2 n)), matching
-  /// spanner::auto_spanner_k.
+  /// spanner::auto_spanner_k. At most spanner::kMaxSpannerK.
   std::size_t k = 0;
   std::uint64_t seed = 1;
   support::WorkCounter* work = nullptr;

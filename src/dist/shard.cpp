@@ -1,6 +1,7 @@
 #include "dist/shard.hpp"
 
 #include <algorithm>
+#include <string>
 #include <cmath>
 #include <utility>
 
@@ -186,6 +187,9 @@ World make_world(Transport& net, const Graph& g) {
 /// every shard COUNT) reports the same DistMetrics.
 ShardSpannerOutput spanner_impl(World& w, const std::vector<bool>* alive,
                                 const DistSpannerOptions& options) {
+  using spanner::kMaxSpannerK;
+  SPAR_CHECK(options.k <= kMaxSpannerK, "run_shard_spanner: k = " + std::to_string(options.k) +
+                                            " exceeds " + std::to_string(kMaxSpannerK));
   const Vertex n = w.n;
   const std::size_t m = w.num_edges();
   const std::size_t k =

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "dist/shard.hpp"
+#include "spanner/baswana_sen.hpp"
 #include "support/assert.hpp"
 #include "support/error.hpp"
 #include "support/framing.hpp"
@@ -113,7 +114,7 @@ inline WorkerArgs read_worker_args(const support::Options& opts) {
   args.mesh.connect_timeout_ms = static_cast<int>(opts.get_int_in(
       "connect-timeout-ms", args.mesh.connect_timeout_ms, 1,
       std::numeric_limits<int>::max()));
-  p.k = static_cast<std::size_t>(opts.get_int_in("k", 0, 0, 64));
+  p.k = static_cast<std::size_t>(opts.get_int_in("k", 0, 0, spanner::kMaxSpannerK));
   p.epsilon = opts.get_double("epsilon", p.epsilon);
   p.rho = opts.get_double("rho", p.rho);
   p.t = static_cast<std::size_t>(opts.get_int_in("t", 0, 0, kNoCap));

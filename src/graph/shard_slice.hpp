@@ -74,10 +74,6 @@ class ShardAdjacency {
     return {arcs_.data() + offsets_[l], arcs_.data() + offsets_[l + 1]};
   }
 
-  Vertex first_vertex() const { return first_; }
-  Vertex owned_vertices() const {
-    return static_cast<Vertex>(offsets_.size()) - 1;
-  }
   std::size_t num_arcs() const { return arcs_.size(); }
 
  private:

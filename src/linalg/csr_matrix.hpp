@@ -38,7 +38,6 @@ class CSRMatrix {
   std::span<const std::size_t> row_offsets() const { return offsets_; }
   std::span<const std::uint32_t> col_indices() const { return col_index_; }
   std::span<const double> values() const { return values_; }
-  std::span<double> mutable_values() { return values_; }
 
   /// y = A x (parallel over rows): the width-1 instantiation of the blocked
   /// kernel below.

@@ -62,12 +62,6 @@ DenseMatrix DenseMatrix::transpose() const {
   return out;
 }
 
-double DenseMatrix::max_abs() const {
-  double best = 0.0;
-  for (double v : data_) best = std::max(best, std::abs(v));
-  return best;
-}
-
 namespace {
 
 // Householder reduction of the symmetric matrix in `z` to tridiagonal form

@@ -41,8 +41,6 @@ class DenseMatrix {
   DenseMatrix multiply(const DenseMatrix& other) const;
   DenseMatrix transpose() const;
 
-  double max_abs() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

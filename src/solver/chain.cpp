@@ -1,5 +1,9 @@
 #include "solver/chain.hpp"
 
+#include <algorithm>
+#include <limits>
+
+#include "linalg/cg.hpp"
 #include "solver/squaring.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
@@ -19,6 +23,10 @@ constexpr double kEdgeFactor = 4.0;
 // Damped Jacobi sweeps that solve the last level, where gamma is small
 // enough that a few sweeps handle the remaining system.
 constexpr std::size_t kLastLevelJacobiSteps = 12;
+// Depth probe: one PCG solve of a seeded normal right-hand side to this
+// relative residual, preconditioned by the chain built so far.
+constexpr double kProbeTolerance = 1e-6;
+constexpr std::uint64_t kProbeSeed = 0x9e3779b97f4a7c15ULL;
 
 }  // namespace
 
@@ -26,6 +34,7 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
   SPAR_CHECK(options.max_levels >= 1,
              "InverseChain: ChainOptions::max_levels must be >= 1 (got 0)");
   project_constant_ = m.is_singular();
+  double best_work = std::numeric_limits<double>::infinity();
 
   SDDMatrix current = std::move(m);
   for (std::size_t level = 0; level < options.max_levels; ++level) {
@@ -45,10 +54,16 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
     levels_.push_back(std::move(stored));
     info_.push_back(info);
 
-    // Termination: Jacobi handles the rest once off-diagonal mass is small.
-    // Singular Laplacians keep gamma == 1 (the nullspace direction never
-    // decays), so they terminate by max_levels / saturation instead; the
-    // chain is then used as a PCG preconditioner with constant projection.
+    // A level that does not lower the probe's work goes; the square that made
+    // it stays recorded on the previous level, the tail again.
+    if (!probe_lowers_work(best_work)) {
+      levels_.pop_back();
+      info_.pop_back();
+      break;
+    }
+
+    // Jacobi handles the rest once off-diagonal mass is small (never on
+    // Laplacians, whose gamma stays 1).
     if (info.gamma <= kGammaStop) break;
     if (current.graph_part().num_edges() == 0) break;
     // The last level never squares: its square would be dropped.
@@ -75,7 +90,6 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
       sqopt.batch_edges = options.stream_batch_edges;
       sqopt.max_resident_levels = options.stream_max_resident_levels;
       sqopt.block_fill_edges = options.stream_block_fill_edges;
-      sqopt.work = options.work;
       squared = square_streamed(current, sqopt, &sq_stats);
     } else {
       squared = square(current, &sq_stats);
@@ -98,13 +112,48 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
       spopt.rho = options.rho;
       spopt.t = options.t;
       spopt.seed = support::mix64(options.seed, level + 1);
-      spopt.work = options.work;
       auto sparsified = sparsify::parallel_sparsify(squared.graph_part(), spopt);
       squared = SDDMatrix(std::move(sparsified.sparsifier),
                           Vector(squared.slack()));
     }
+    // A square that isolates a vertex leaves it a zero diagonal, which no
+    // level can invert (K2, short paths): the current level stays the tail.
+    if (std::ranges::any_of(squared.diagonal(), [](double di) { return di <= 0.0; })) break;
     current = std::move(squared);
   }
+}
+
+bool InverseChain::probe_lowers_work(double& best_work) {
+  // A PCG iteration reads M once, each inner level's adjacency twice and the
+  // tail's kLastLevelJacobiSteps times, at 2 * edges + n entries a sweep.
+  const std::size_t n = dimension();
+  double per_iteration = 0.0;
+  for (std::size_t i = 0; i < info_.size(); ++i) {
+    const std::size_t sweeps = (i == 0) + (i + 1 < info_.size() ? 2 : kLastLevelJacobiSteps);
+    per_iteration += static_cast<double>(sweeps * (2 * info_[i].edges + n));
+  }
+  linalg::CGOptions cg;
+  cg.tolerance = kProbeTolerance;
+  cg.project_constant = project_constant_;  // keeps the rhs mean-free
+  // A probe that reaches the best work so far has already lost.
+  if (best_work < static_cast<double>(cg.max_iterations) * per_iteration)
+    cg.max_iterations = static_cast<std::size_t>(best_work / per_iteration);
+  const linalg::BlockOperator m_op{  // M = D - A from level 0's stored D and A
+      n, [&top = levels_.front()](const linalg::MultiVector& x, linalg::MultiVector& y) {
+        top.adjacency.multiply(x, y);
+        for (std::size_t e = 0; e < y.data().size(); ++e)
+          y.data()[e] = top.diagonal[e / x.cols()] * x.data()[e] - y.data()[e];
+      }};
+  linalg::MultiVector rhs(n, 1), x(n, 1, 0.0);
+  support::Rng rng(kProbeSeed);
+  for (double& v : rhs.data()) v = rng.normal();
+  const linalg::BlockCGReport report = linalg::blocked_pcg(m_op, as_block_operator(), rhs, x, cg);
+  ChainLevelInfo& info = info_.back();
+  info.probe_iterations = report.iterations;
+  info.probe_work = static_cast<double>(report.iterations) * per_iteration;
+  if (info_.size() > 1 && !(report.all_converged() && info.probe_work < best_work)) return false;
+  best_work = info.probe_work;
+  return true;
 }
 
 std::size_t InverseChain::total_nnz() const {

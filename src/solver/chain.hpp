@@ -9,11 +9,13 @@
 //   M_i^{-1} b ~ 1/2 [ D_i^{-1} b + (I + D_i^{-1} A_i) M_{i+1}^{-1} (I + A_i D_i^{-1}) b ]
 //
 // recursively; the last level is solved with damped Jacobi. The resulting
-// operator is symmetric PSD, so it serves directly as a PCG preconditioner
-// (how bench_solver uses it), and as a standalone solver via iterative
-// refinement. The level and tail sweeps are written once over the block
-// width: applying the chain to one vector is the width-1 case of applying it
-// to a block.
+// operator is symmetric PSD and serves as a PCG preconditioner. The level and
+// tail sweeps are written once over the block width: applying the chain to
+// one vector is the width-1 case of applying it to a block.
+//
+// Depth is measured: after each stored level a seeded PCG probe,
+// preconditioned by the chain so far, prices a solve (iterations x entries
+// read), and the first level that does not lower that price is dropped.
 //
 // The squaring step is where fill-in explodes (A D^{-1} A connects every
 // 2-hop pair). One rule picks how each level absorbs it, from the level's
@@ -42,8 +44,8 @@ struct ChainOptions {
   double rho = 4.0;
   /// Bundle width forwarded to PARALLELSPARSIFY (0 = theoretical).
   std::size_t t = 2;
-  /// Hard cap on chain depth, >= 1 (singular Laplacians terminate here:
-  /// their gamma never decays).
+  /// Hard cap on chain depth, >= 1. The depth probe picks the depth below
+  /// it; the cap only bounds the build.
   std::size_t max_levels = 24;
   std::uint64_t seed = 99;  ///< seeds the per-level sparsifier coins
   /// A level whose projected_square_fill exceeds this many product entries
@@ -58,12 +60,12 @@ struct ChainOptions {
   std::size_t stream_max_resident_levels = 3;
   /// Streamed squaring: target symbolic fill per SpGEMM row-block.
   std::size_t stream_block_fill_edges = std::size_t{1} << 20;
-  support::WorkCounter* work = nullptr;  ///< optional work accounting sink
 };
 
 /// Per-level bookkeeping recorded while the chain is built. The squaring
-/// fields describe the step that produced the NEXT level from this one (all
-/// zero/false on the final level, which never squares).
+/// fields describe the step that produced the NEXT level from this one; on
+/// the final level, the square whose level the build rejected (probe verdict
+/// or an isolated vertex), or zero/false if it stopped without squaring.
 struct ChainLevelInfo {
   std::size_t edges_after_square = 0;  ///< 0 for the input level
   std::size_t edges = 0;               ///< stored (possibly sparsified) edges
@@ -77,15 +79,18 @@ struct ChainLevelInfo {
   std::size_t peak_resident_edges = 0;
   std::size_t sparsify_passes = 0;   ///< streamed-tower reduce passes
   double epsilon_budget_used = 0.0;  ///< composed tower eps (streamed only)
+  std::size_t probe_iterations = 0;  ///< depth probe's PCG iterations, this level as tail
+  double probe_work = 0.0;  ///< probe_iterations x entries one iteration reads
 };
 
 /// The approximate inverse chain of an SDD matrix M: its levels and the
 /// symmetric PSD operator y ~ M^{-1} b they apply.
 class InverseChain {
  public:
-  /// Builds the chain for `m`. Levels stop once adjacency dominance drops to
-  /// 1/4 (where Jacobi finishes the job), at max_levels, or when squaring
-  /// leaves no edges. Throws spar::Error when options.max_levels is 0.
+  /// Builds the chain for `m`. Levels stop at the first one that does not
+  /// lower the depth probe's work per solve (it is dropped), at gamma <= 1/4,
+  /// at max_levels, or when squaring leaves no edges or isolates a vertex.
+  /// Throws spar::Error when options.max_levels is 0 or m has a zero diagonal.
   InverseChain(SDDMatrix m, const ChainOptions& options);
 
   /// Number of stored levels (>= 1).
@@ -122,6 +127,8 @@ class InverseChain {
     linalg::CSRMatrix adjacency;
   };
 
+  // Probes with the newest level as tail; true (best_work lowered) if it pays.
+  bool probe_lowers_work(double& best_work);
   template <typename Width>
   void apply_level(Width width, std::size_t level, const linalg::MultiVector& b,
                    linalg::MultiVector& y) const;

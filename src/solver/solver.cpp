@@ -104,46 +104,4 @@ SolveReport solve_jacobi_pcg(const SDDMatrix& m, std::span<const double> b,
   return finish(std::move(x), report);
 }
 
-SolveReport solve_chain_refinement(const SDDMatrix& m, const InverseChain& chain,
-                                   std::span<const double> b,
-                                   const SolveOptions& options) {
-  SPAR_CHECK(b.size() == m.dimension(), "solve_chain_refinement: rhs size mismatch");
-  const std::size_t n = m.dimension();
-  Vector rhs(b.begin(), b.end());
-  if (m.is_singular()) linalg::remove_mean(rhs);
-  const double b_norm = linalg::norm2(rhs);
-
-  SolveReport report;
-  report.solution.assign(n, 0.0);
-  report.chain_levels = chain.num_levels();
-  report.chain_total_nnz = chain.total_nnz();
-  if (b_norm == 0.0) {
-    report.converged = true;
-    return report;
-  }
-
-  Vector residual = rhs;
-  Vector correction(n);
-  for (std::size_t it = 0; it < options.max_iterations; ++it) {
-    report.relative_residual = linalg::norm2(residual) / b_norm;
-    if (report.relative_residual <= options.tolerance) {
-      report.converged = true;
-      return report;
-    }
-    chain.apply(residual, correction);
-    linalg::axpy(1.0, correction, report.solution);
-    m.apply(report.solution, residual);
-    for (std::size_t i = 0; i < n; ++i) residual[i] = rhs[i] - residual[i];
-    if (m.is_singular()) linalg::remove_mean(residual);
-    ++report.iterations;
-    // Divergence guard: a chain that is not a contraction (possible when the
-    // per-level eps is too loose) makes refinement blow up; bail out so
-    // callers can fall back to PCG.
-    if (report.relative_residual > 1e6) break;
-  }
-  report.relative_residual = linalg::norm2(residual) / b_norm;
-  report.converged = report.relative_residual <= options.tolerance;
-  return report;
-}
-
 }  // namespace spar::solver

@@ -84,15 +84,4 @@ SolveReport solve_cg(const SDDMatrix& m, std::span<const double> b,
 SolveReport solve_jacobi_pcg(const SDDMatrix& m, std::span<const double> b,
                              const SolveOptions& options = {});
 
-/// Standalone chain solve via iterative refinement (Richardson with the
-/// chain as approximate inverse):  x <- x + W(b - M x).  This is how
-/// Peng-Spielman (Theorem 4.5) consume the chain -- each sweep multiplies the
-/// error by the chain's approximation factor, so iterations = O(log(1/tau))
-/// when the chain is a constant-factor inverse. PCG (solve_sdd) is the
-/// robust practical wrapper; this entry point exists to exercise and measure
-/// the paper's own scheme.
-SolveReport solve_chain_refinement(const SDDMatrix& m, const InverseChain& chain,
-                                   std::span<const double> b,
-                                   const SolveOptions& options = {});
-
 }  // namespace spar::solver

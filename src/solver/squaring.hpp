@@ -24,7 +24,6 @@
 #include <cstdint>
 
 #include "solver/sdd_matrix.hpp"
-#include "support/work_counter.hpp"
 
 namespace spar::solver {
 
@@ -72,7 +71,6 @@ struct StreamedSquareOptions {
   std::size_t max_resident_levels = 3;
   /// Target symbolic fill per SpGEMM row-block: the resident-product unit.
   std::size_t block_fill_edges = std::size_t{1} << 20;
-  support::WorkCounter* work = nullptr;  ///< optional work accounting sink
 };
 
 /// M~ = D - A D^{-1} A with the graph part sparsified *while being produced*:

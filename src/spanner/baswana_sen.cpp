@@ -1,6 +1,7 @@
 #include "spanner/baswana_sen.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "spanner/bs_core.hpp"
 #include "support/assert.hpp"
@@ -33,6 +34,8 @@ std::size_t auto_spanner_k(std::size_t n) {
 std::vector<EdgeId> baswana_sen_spanner(const CSRGraph& csr,
                                         const std::vector<bool>* alive,
                                         const SpannerOptions& options) {
+  SPAR_CHECK(options.k <= kMaxSpannerK, "baswana_sen_spanner: k = " + std::to_string(options.k) +
+                                            " exceeds " + std::to_string(kMaxSpannerK));
   const Vertex n = csr.num_vertices();
   const std::size_t m = csr.num_arcs() / 2;
   const std::size_t k = options.k != 0 ? options.k : auto_spanner_k(n);

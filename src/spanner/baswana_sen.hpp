@@ -25,9 +25,14 @@
 
 namespace spar::spanner {
 
+/// Largest k a spanner accepts: auto k = ceil(log2 n) never exceeds it for any
+/// n < 2^64, and each level costs a clustering round however few edges live.
+inline constexpr std::size_t kMaxSpannerK = 64;
+
 struct SpannerOptions {
   /// Number of clustering levels; stretch is 2k-1. 0 means "auto":
-  /// k = max(1, ceil(log2 n)), the paper's log n-spanner setting.
+  /// k = max(1, ceil(log2 n)), the paper's log n-spanner setting. At most
+  /// kMaxSpannerK.
   std::size_t k = 0;
   std::uint64_t seed = 1;
   support::WorkCounter* work = nullptr;

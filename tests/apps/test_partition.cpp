@@ -155,6 +155,18 @@ TEST(Fiedler, CompleteGraphValueIsN) {
   EXPECT_NEAR(fr.value, 15.0, 1e-6 * 15.0);
 }
 
+TEST(Fiedler, DepthProbeKeepsLambda2OfTheFixedDepthChain) {
+  // partition_grid's seed-1 graph. The reference value came from the
+  // fixed-depth chain FiedlerOptions used to build (10 levels, 26.5x the
+  // input's nonzeros); the probe's 2-level chain must find the same pair.
+  const Graph g = graph::randomize_weights(graph::grid2d(40, 40), 0.5, 1);
+  constexpr double kFixedDepthLambda2 = 0.0061961134034715787;
+  const FiedlerReport fr = fiedler_vector(g);
+  EXPECT_TRUE(fr.converged);
+  EXPECT_NEAR(fr.value, kFixedDepthLambda2, 1e-10 * kFixedDepthLambda2);
+  EXPECT_LE(fr.chain_levels, 3u);
+}
+
 TEST(Fiedler, RejectsDisconnectedAndTrivialInputs) {
   Graph two(4);  // two disjoint edges
   two.add_edge(0, 1, 1.0);
@@ -168,21 +180,17 @@ TEST(Fiedler, RejectsDisconnectedAndTrivialInputs) {
 struct SweepCase {
   std::string name;
   Graph g;
-  // Paths are too thin for the inverse chain (squaring empties a level
-  // diagonal -- the sparsify_tool grid:2x2 precedent), so only the scan-only
-  // tests run on them; the Fiedler-driven test needs chain-friendly inputs.
-  bool fiedler_ok = true;
 };
 
 std::vector<SweepCase> sweep_cases() {
   std::vector<SweepCase> cases;
-  cases.push_back({"path10", graph::path_graph(10), false});
+  cases.push_back({"path10", graph::path_graph(10)});
   cases.push_back({"cycle12", graph::cycle_graph(12)});
   cases.push_back({"grid3x4", graph::grid2d(3, 4)});
   cases.push_back({"dumbbell5", graph::dumbbell(5)});
   cases.push_back({"bipartite3x4", graph::complete_bipartite(3, 4)});
   cases.push_back(
-      {"wpath11", graph::randomize_weights(graph::path_graph(11), 1.5, 4), false});
+      {"wpath11", graph::randomize_weights(graph::path_graph(11), 1.5, 4)});
   return cases;
 }
 
@@ -210,7 +218,6 @@ TEST_P(SweepCutBruteForce, OptimalIndicatorRecoversOptimum) {
 
 TEST_P(SweepCutBruteForce, FiedlerSweepNeverBeatsBruteForce) {
   const SweepCase c = sweep_cases()[GetParam()];
-  if (!c.fiedler_ok) GTEST_SKIP() << "chain degenerates on " << c.name;
   const double best = brute_force_min_conductance(c.g, nullptr);
   const PartitionReport part = spectral_partition(c.g);
   EXPECT_GE(part.cut.conductance, best - 1e-12) << c.name;
@@ -255,7 +262,9 @@ TEST(PartitionDeterminism, GoldenHashAcrossThreadCounts) {
   // deliberate algorithm changes.
   const Graph g = graph::randomize_weights(graph::grid2d(16, 16), 2.0, 5);
 
-  constexpr std::uint64_t kGoldenHash = 0xe68e634ac27bd591ULL;
+  // Moved when the chain's depth probe replaced FiedlerOptions' fixed depth
+  // of 10 (was 0xe68e634ac27bd591).
+  constexpr std::uint64_t kGoldenHash = 0x17a85ef79ce26806ULL;
 
   for (const int threads : {1, 2, 4}) {
     support::par::ThreadLimit limit(threads);

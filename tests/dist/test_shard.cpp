@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -213,6 +214,19 @@ TEST(Shard, SocketBackendRejectsMissingWorker) {
   exec.backend = DistBackend::kSocketUnix;
   exec.worker_path = "/nonexistent/dist_worker";
   EXPECT_THROW(run_distributed_spanner(g, {.k = 0, .seed = 1}, exec), Error);
+}
+
+TEST(Shard, SpannerRejectsKAboveCap) {
+  // Same cap as the in-process spanner, so the two backends agree.
+  const Graph g = graph::grid2d(8, 8);
+  for (const std::size_t k :
+       {spanner::kMaxSpannerK + 1, std::numeric_limits<std::size_t>::max()})
+    EXPECT_THROW(run_distributed_spanner(g, {.k = k, .seed = 1}, {}), Error) << k;
+  const DistSpannerResult capped =
+      run_distributed_spanner(g, {.k = spanner::kMaxSpannerK, .seed = 1}, {});
+  const graph::CSRGraph csr(g);
+  EXPECT_EQ(capped.spanner_edges,
+            spanner::baswana_sen_spanner(csr, nullptr, {.k = spanner::kMaxSpannerK, .seed = 1}));
 }
 
 TEST(Shard, SocketMeshTakesSeedsAboveInt64Max) {

@@ -5,8 +5,11 @@
 #include <cmath>
 #include <string>
 
+#include "chain_fingerprint.hpp"
 #include "graph/generators.hpp"
+#include "solver/solver.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace spar::solver {
@@ -43,9 +46,12 @@ TEST(InverseChain, RejectsZeroMaxLevels) {
 }
 
 TEST(InverseChain, GammaDecreasesAlongChain) {
-  ChainOptions opt;
-  opt.max_levels = 12;
-  const InverseChain chain(grounded_grid(12), opt);
+  // Slack on every vertex: each square shrinks adjacency dominance, so it
+  // shows at the levels the depth probe keeps. (On a grounded grid the one
+  // slack vertex reaches far rows only after ~5 squarings, deeper than the
+  // probe builds.)
+  const Graph g = graph::grid2d(12, 12);
+  const InverseChain chain(SDDMatrix(g, Vector(g.num_vertices(), 0.05)), ChainOptions{});
   const auto& info = chain.level_info();
   ASSERT_GE(info.size(), 2u);
   EXPECT_LT(info.back().gamma, info.front().gamma);
@@ -156,6 +162,91 @@ TEST(InverseChain, SparsificationCapsLevelGrowth) {
   const double cap = 14.0 * 4.0 * double(m.dimension());
   for (const auto& info : chain.level_info())
     EXPECT_LT(double(info.edges), cap);
+}
+
+/// partition_grid's graph family: a 40x40 grid with weights within a factor e.
+SDDMatrix weighted_grid40() {
+  return SDDMatrix(graph::randomize_weights(graph::grid2d(40, 40), 0.5, 1));
+}
+
+/// FiedlerOptions' chain knobs.
+ChainOptions fiedler_chain() {
+  ChainOptions opt;
+  opt.rho = 8.0;
+  opt.t = 1;
+  return opt;
+}
+
+TEST(InverseChain, DepthProbeIsThreadInvariant) {
+  // The probe runs blocked_pcg, whose reductions are chunk-ordered, so the
+  // depth it picks, the bookkeeping and every chain bit match at any width.
+  const struct {
+    SDDMatrix m;
+    ChainOptions opt;
+  } cases[] = {{weighted_grid40(), fiedler_chain()},
+               {SDDMatrix(graph::grid2d(32, 32)), ChainOptions{}}};
+  for (const auto& c : cases) {
+    std::uint64_t first = 0;
+    for (const int threads : {1, 2, 4}) {
+      support::par::ThreadLimit limit(threads);
+      const std::uint64_t h = chain_fingerprint(InverseChain(c.m, c.opt));
+      if (threads == 1) first = h;
+      EXPECT_EQ(h, first) << c.m.dimension() << " vertices, " << threads << " threads";
+    }
+  }
+}
+
+TEST(InverseChain, DepthStopsAtTheProbedCostMinimum) {
+  // Every kept level lowered the probe's work per solve; the next one did not.
+  const InverseChain grid(weighted_grid40(), fiedler_chain());
+  const auto& info = grid.level_info();
+  EXPECT_LE(grid.num_levels(), 3u);
+  for (std::size_t i = 1; i < info.size(); ++i) {
+    EXPECT_GT(info[i].probe_iterations, 0u) << i;
+    EXPECT_LT(info[i].probe_work, info[i - 1].probe_work) << i;
+  }
+  // An expander needs two PCG iterations with the Jacobi tail alone: the
+  // square would cost far more than it saves.
+  const InverseChain er(SDDMatrix(graph::connected_erdos_renyi(2000, 16.0 / 2000.0, 31)),
+                        ChainOptions{});
+  EXPECT_EQ(er.num_levels(), 1u);
+}
+
+TEST(InverseChain, FinalLevelRecordsOnlyTheRejectedSquare) {
+  // The probe ended the build: the final level keeps the rejected square.
+  const InverseChain probed(grounded_grid(12), ChainOptions{});
+  ASSERT_LT(probed.num_levels(), ChainOptions{}.max_levels);
+  EXPECT_GT(probed.level_info().back().edges_after_square, 0u);
+  // max_levels ended it: one level, probed but never squared.
+  ChainOptions one;
+  one.max_levels = 1;
+  const InverseChain capped(grounded_grid(12), one);
+  ASSERT_EQ(capped.num_levels(), 1u);
+  EXPECT_GT(capped.level_info().front().probe_iterations, 0u);
+  EXPECT_EQ(capped.level_info().front().edges_after_square, 0u);
+  EXPECT_EQ(capped.level_info().front().projected_fill, 0u);
+  // gamma ended it: Jacobi alone finishes, nothing squared.
+  const InverseChain easy(SDDMatrix(graph::cycle_graph(20), Vector(20, 100.0)),
+                          ChainOptions{});
+  ASSERT_EQ(easy.num_levels(), 1u);
+  EXPECT_EQ(easy.level_info().front().edges_after_square, 0u);
+}
+
+TEST(InverseChain, EdgelessAndTwoVertexInputsBuild) {
+  // No edges: the chain is the diagonal's inverse.
+  const Vector slack{1.0, 2.0, 4.0, 8.0, 16.0};
+  const InverseChain edgeless(SDDMatrix(Graph(5), slack), ChainOptions{});
+  ASSERT_EQ(edgeless.num_levels(), 1u);
+  Vector y(5);
+  edgeless.apply(Vector(5, 1.0), y);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(y[i], 1.0 / slack[i]);
+  // One edge, singular: the chain preconditions a solve on range(L).
+  const SDDMatrix pair(Graph(2, {{0, 1, 3.0}}));
+  const InverseChain chain(pair, ChainOptions{});
+  EXPECT_GE(chain.num_levels(), 1u);
+  const SolveReport report = solve_sdd(pair, chain, Vector{1.0, -1.0});
+  EXPECT_TRUE(report.converged);
+  EXPECT_NEAR(report.solution[0] - report.solution[1], 1.0 / 3.0, 1e-9);
 }
 
 TEST(InverseChain, SingularLaplacianChainStaysFinite) {

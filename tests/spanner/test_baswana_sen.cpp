@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "graph/generators.hpp"
 #include "graph/traversal.hpp"
 #include "spanner/stretch.hpp"
+#include "support/error.hpp"
 
 namespace spar::spanner {
 namespace {
@@ -44,6 +46,21 @@ TEST(BaswanaSen, K1ReturnsWholeGraph) {
   const Graph g = graph::complete_graph(12);
   const Graph h = spanner(g, {.k = 1, .seed = 1});
   EXPECT_EQ(h.num_edges(), g.num_edges());
+}
+
+TEST(BaswanaSen, RejectsKAboveCap) {
+  // Each clustering level costs a round however few edges live: k = SIZE_MAX
+  // would spin, so k is capped and the error names it.
+  const Graph g = graph::grid2d(8, 8);
+  for (const std::size_t k : {kMaxSpannerK + 1, std::numeric_limits<std::size_t>::max()}) {
+    try {
+      (void)spanner(g, {.k = k, .seed = 1});
+      ADD_FAILURE() << "k = " << k << " was accepted";
+    } catch (const spar::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("k = "), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_TRUE(graph::is_connected(CSRGraph(spanner(g, {.k = kMaxSpannerK, .seed = 1}))));
 }
 
 TEST(BaswanaSen, RespectsAliveMask) {
