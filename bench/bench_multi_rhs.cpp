@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   };
   // Sized so the chain exceeds L2 (the regime where one-traversal pays): the
   // depth probe keeps 2 levels of the 240x240 grid's chain, ~0.8M stored nnz
-  // (~10 MB of CSR data), and 1 level of the er chain, ~0.3M; each builds in
-  // ~3 s.
+  // (~10 MB of CSR data), and 1 level of the er chain, ~0.3M. On a 4-thread
+  // box (Release) the grid chain builds in ~1.7 s and the er chain in ~1.1 s.
   std::vector<Case> cases = {{"grid", 57600}, {"er", 16384}};
   if (quick) cases = {{"grid", 4096}, {"er", 1024}};
 

@@ -31,6 +31,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -175,6 +176,8 @@ void write_json(const std::string& path, const std::vector<RunRecord>& runs) {
 
 int run(int argc, char** argv) {
   const support::Options opt(argc, argv);
+  opt.reject_unknown({"in", "app", "eps", "seed", "rho", "t", "damping", "top-k", "pairs",
+                      "dynamic", "delete-fraction", "json", "sources", "threads"});
 
   std::vector<std::string> inputs = opt.positional();
   if (opt.has("in"))
@@ -199,12 +202,13 @@ int run(int argc, char** argv) {
   std::vector<double> eps_list;
   for (const std::string& tok : split(opt.get("eps", "0.5"), ','))
     eps_list.push_back(support::parse_number<double>("--eps", tok));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  constexpr std::int64_t kNoCap = std::numeric_limits<std::int64_t>::max();
+  const auto seed = support::parse_number<std::uint64_t>("--seed", opt.get("seed", "1"));
   const double rho = opt.get_double("rho", 8.0);
-  const auto t = static_cast<std::size_t>(opt.get_int("t", 3));
+  const auto t = static_cast<std::size_t>(opt.get_int_in("t", 3, 0, kNoCap));
   const double damping = opt.get_double("damping", 0.85);
-  const auto top_k = static_cast<std::size_t>(opt.get_int("top-k", 10));
-  const auto pairs = static_cast<std::size_t>(opt.get_int("pairs", 8));
+  const auto top_k = static_cast<std::size_t>(opt.get_int_in("top-k", 10, 1, kNoCap));
+  const auto pairs = static_cast<std::size_t>(opt.get_int_in("pairs", 8, 0, kNoCap));
   const bool dynamic = opt.get_bool("dynamic", false);
   const double delete_fraction = opt.get_double("delete-fraction", 0.2);
   const std::string json_path = opt.get("json", "");
@@ -214,7 +218,8 @@ int run(int argc, char** argv) {
       if (!tok.empty())
         sources.push_back(support::parse_number<graph::Vertex>("--sources", tok));
   if (opt.has("threads"))
-    support::par::set_num_threads(static_cast<int>(opt.get_int("threads", 1)));
+    support::par::set_num_threads(static_cast<int>(
+        opt.get_int_in("threads", 1, 1, std::numeric_limits<int>::max())));
   if (!json_path.empty()) {
     std::ofstream probe(json_path, std::ios::app);
     if (!probe.good()) throw Error("cannot open --json path " + json_path);

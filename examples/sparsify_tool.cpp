@@ -52,6 +52,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -255,6 +256,9 @@ graph::Graph run_method(const graph::Graph& g, const std::string& method, double
 
 int run(int argc, char** argv) {
   const support::Options opt(argc, argv);
+  opt.reject_unknown({"in", "gen", "updates", "stream", "method", "eps", "rho", "t", "seed",
+                      "keep", "batch-edges", "solve-rhs", "json", "out", "convert",
+                      "make-updates", "delete-fraction", "batch-updates"});
 
   std::vector<std::string> inputs = opt.positional();
   if (opt.has("in"))
@@ -286,8 +290,9 @@ int run(int argc, char** argv) {
   const std::vector<std::string> methods = split(opt.get("method", "koutis"), ',');
   const std::vector<double> eps_list = parse_list(opt, "eps", 1.0);
   const std::vector<double> rho_list = parse_list(opt, "rho", 8.0);
-  const auto t = static_cast<std::size_t>(opt.get_int("t", 3));
-  const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 1));
+  const auto t = static_cast<std::size_t>(
+      opt.get_int_in("t", 3, 0, std::numeric_limits<std::int64_t>::max()));
+  const auto seed = parse_number<std::uint64_t>("--seed", opt.get("seed", "1"));
   const double keep = opt.get_double("keep", 0.25);
   const std::int64_t batch_edges_raw =
       opt.get_int("batch-edges", std::int64_t{1} << 17);

@@ -56,10 +56,9 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # golden hash -- already ran above under ctest.)
 "$build_dir/bench/bench_stream" --quick=1
 
-# Chain-build smoke: bench_chain exits nonzero if a dense- or streamed-built
-# chain fails to solve within tolerance, the streamed build differs across
-# thread counts, a small-config streamed square certifies outside eps, or the
-# streamed build fails to undercut the dense peak resident product.
+# Chain-build smoke: bench_chain exits nonzero if a chain build differs
+# across thread counts 1/2/4 or a solve on the built chain fails to reach
+# tolerance.
 "$build_dir/bench/bench_chain" --quick=1
 
 # Dynamic smoke: bench_dynamic exits nonzero if the incremental tower's live

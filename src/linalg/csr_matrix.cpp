@@ -147,28 +147,20 @@ Vector CSRMatrix::multiply(std::span<const double> x) const {
 }
 
 CSRMatrix CSRMatrix::multiply(const CSRMatrix& other) const {
-  return multiply(other, 0, rows_);
-}
-
-CSRMatrix CSRMatrix::multiply(const CSRMatrix& other, std::size_t row_begin,
-                              std::size_t row_end) const {
   SPAR_CHECK(cols_ == other.rows_, "SpGEMM: inner dimension mismatch");
-  SPAR_CHECK(row_begin <= row_end && row_end <= rows_,
-             "SpGEMM: row range out of bounds");
-  const std::size_t block_rows = row_end - row_begin;
   CSRMatrix c;
-  c.rows_ = block_rows;
+  c.rows_ = rows_;
   c.cols_ = other.cols_;
-  c.offsets_.assign(block_rows + 1, 0);
+  c.offsets_.assign(rows_ + 1, 0);
 
   // Pass 1: count nnz per output row (Gustavson symbolic phase). Each worker
   // keeps one dense marker array, created lazily on first chunk it runs.
-  // Marker stamps are global row ids, unique within the call.
-  std::vector<std::size_t> row_nnz(block_rows, 0);
+  // Marker stamps are row ids, unique within the call.
+  std::vector<std::size_t> row_nnz(rows_, 0);
   {
     par::WorkerLocal<std::vector<std::int64_t>> markers;
     par::parallel_chunks(
-        static_cast<std::int64_t>(row_begin), static_cast<std::int64_t>(row_end),
+        0, static_cast<std::int64_t>(rows_),
         [&](std::int64_t rb, std::int64_t re, std::int64_t /*chunk*/, int worker) {
           std::vector<std::int64_t>& marker = markers.local(
               worker, [&] { return std::vector<std::int64_t>(other.cols_, -1); });
@@ -186,15 +178,15 @@ CSRMatrix CSRMatrix::multiply(const CSRMatrix& other, std::size_t row_begin,
                 }
               }
             }
-            row_nnz[static_cast<std::size_t>(r) - row_begin] = count;
+            row_nnz[static_cast<std::size_t>(r)] = count;
           }
         },
         {.grain = 64});
   }
-  for (std::size_t r = 0; r < block_rows; ++r)
+  for (std::size_t r = 0; r < rows_; ++r)
     c.offsets_[r + 1] = c.offsets_[r] + row_nnz[r];
-  c.col_index_.resize(c.offsets_[block_rows]);
-  c.values_.resize(c.offsets_[block_rows]);
+  c.col_index_.resize(c.offsets_[rows_]);
+  c.values_.resize(c.offsets_[rows_]);
 
   // Pass 2: numeric phase with one dense accumulator per worker; output rows
   // are disjoint ranges of c, so writes never conflict.
@@ -206,16 +198,15 @@ CSRMatrix CSRMatrix::multiply(const CSRMatrix& other, std::size_t row_begin,
     };
     par::WorkerLocal<Scratch> scratches;
     par::parallel_chunks(
-        static_cast<std::int64_t>(row_begin), static_cast<std::int64_t>(row_end),
+        0, static_cast<std::int64_t>(rows_),
         [&](std::int64_t rb, std::int64_t re, std::int64_t /*chunk*/, int worker) {
           Scratch& scratch = scratches.local(worker, [&] { return Scratch(other.cols_); });
           std::vector<double>& accum = scratch.accum;
           std::vector<std::int64_t>& marker = scratch.marker;
           for (std::int64_t r = rb; r < re; ++r) {
-            const std::size_t lr = static_cast<std::size_t>(r) - row_begin;
-            std::size_t head = c.offsets_[lr];
-            for (std::size_t ka = offsets_[static_cast<std::size_t>(r)];
-                 ka < offsets_[static_cast<std::size_t>(r) + 1]; ++ka) {
+            const auto row = static_cast<std::size_t>(r);
+            std::size_t head = c.offsets_[row];
+            for (std::size_t ka = offsets_[row]; ka < offsets_[row + 1]; ++ka) {
               const std::uint32_t mid = col_index_[ka];
               const double va = values_[ka];
               for (std::size_t kb = other.offsets_[mid];
@@ -231,33 +222,15 @@ CSRMatrix CSRMatrix::multiply(const CSRMatrix& other, std::size_t row_begin,
             }
             // Sort this row's columns for deterministic layout, then write values.
             std::sort(c.col_index_.begin() +
-                          static_cast<std::ptrdiff_t>(c.offsets_[lr]),
+                          static_cast<std::ptrdiff_t>(c.offsets_[row]),
                       c.col_index_.begin() + static_cast<std::ptrdiff_t>(head));
-            for (std::size_t k = c.offsets_[lr]; k < head; ++k)
+            for (std::size_t k = c.offsets_[row]; k < head; ++k)
               c.values_[k] = accum[c.col_index_[k]];
           }
         },
         {.grain = 64});
   }
   return c;
-}
-
-std::vector<std::size_t> CSRMatrix::multiply_fill_bound(const CSRMatrix& other) const {
-  SPAR_CHECK(cols_ == other.rows_, "multiply_fill_bound: inner dimension mismatch");
-  std::vector<std::size_t> bound(rows_, 0);
-  par::parallel_for(
-      0, static_cast<std::int64_t>(rows_),
-      [&](std::int64_t r) {
-        std::size_t count = 0;
-        for (std::size_t k = offsets_[static_cast<std::size_t>(r)];
-             k < offsets_[static_cast<std::size_t>(r) + 1]; ++k) {
-          const std::uint32_t mid = col_index_[k];
-          count += other.offsets_[mid + 1] - other.offsets_[mid];
-        }
-        bound[static_cast<std::size_t>(r)] = count;
-      },
-      {.enable = nnz() > (1u << 14)});
-  return bound;
 }
 
 Vector CSRMatrix::diagonal_vector() const {

@@ -51,24 +51,10 @@ class CSRMatrix {
   /// bit-identical to multiplying that column alone.
   void multiply(const MultiVector& x, MultiVector& y) const;
 
-  /// C = A * B (Gustavson; parallel over rows of A).
+  /// C = A * B (Gustavson; parallel over rows of A). The whole product is
+  /// materialized; its rows come out with sorted columns, and the bits do
+  /// not depend on the thread count.
   CSRMatrix multiply(const CSRMatrix& other) const;
-
-  /// Row slab of the product: C = A[row_begin, row_end) * B, with
-  /// C.rows() == row_end - row_begin (row i of C is global row row_begin + i).
-  /// Same deterministic Gustavson kernel as multiply(other) -- the full
-  /// product's row r equals the slab row r - row_begin bit for bit -- so a
-  /// huge product can be produced and consumed one bounded block at a time
-  /// (the streamed-squaring path) instead of materialized whole.
-  CSRMatrix multiply(const CSRMatrix& other, std::size_t row_begin,
-                     std::size_t row_end) const;
-
-  /// Per-row upper bound on the fill of (this * other): row r's Gustavson
-  /// expansion size sum_{k in row r} nnz(B row col(k)), i.e. the count
-  /// before duplicate-column merging. O(nnz(this)) total, no scratch -- cheap
-  /// enough to run before every SpGEMM as an OOM guard / block planner. The
-  /// bound is exact when no two expansion terms share a column.
-  std::vector<std::size_t> multiply_fill_bound(const CSRMatrix& other) const;
 
   /// A's diagonal as a dense vector (zeros where absent).
   Vector diagonal_vector() const;

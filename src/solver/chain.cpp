@@ -17,7 +17,7 @@ namespace {
 // Stop once adjacency dominance gamma = max_i rowsum(A)/D drops to this:
 // Jacobi converges at rate gamma on the last level.
 constexpr double kGammaStop = 0.25;
-// Sparsify a dense-squared level only when its graph part has more than
+// Sparsify a squared level only when its graph part has more than
 // kEdgeFactor * n edges (the "threshold of applicability" m').
 constexpr double kEdgeFactor = 4.0;
 // Damped Jacobi sweeps that solve the last level, where gamma is small
@@ -69,44 +69,14 @@ InverseChain::InverseChain(SDDMatrix m, const ChainOptions& options) {
     // The last level never squares: its square would be dropped.
     if (level + 1 == options.max_levels) break;
 
-    // Pick the squaring path BEFORE committing product memory: the symbolic
-    // fill projection is O(nnz).
-    const std::size_t projected = projected_square_fill(current);
-    const bool use_streamed = projected > options.streamed_fill_threshold;
-
-    SquaringStats sq_stats;
-    SDDMatrix squared;
-    if (use_streamed) {
-      // Fused sparsify-during-squaring: the tower spends this level's whole
-      // eps budget internally (split across its passes), so the result is a
-      // certified (1 +- level_epsilon) sparsifier of the exact square -- the
-      // same contract as the dense square + posthoc sparsify below, without
-      // the product ever being resident. No second sparsify pass follows.
-      StreamedSquareOptions sqopt;
-      sqopt.epsilon = options.level_epsilon;
-      sqopt.rho = options.rho;
-      sqopt.t = options.t;
-      sqopt.seed = support::mix64(options.seed, level + 1);
-      sqopt.batch_edges = options.stream_batch_edges;
-      sqopt.max_resident_levels = options.stream_max_resident_levels;
-      sqopt.block_fill_edges = options.stream_block_fill_edges;
-      squared = square_streamed(current, sqopt, &sq_stats);
-    } else {
-      squared = square(current, &sq_stats);
-    }
-    info_.back().edges_after_square = sq_stats.output_edges;
-    info_.back().projected_fill = projected;
-    info_.back().streamed_square = use_streamed;
-    info_.back().peak_resident_edges = sq_stats.peak_resident_edges;
-    info_.back().sparsify_passes = sq_stats.sparsify_passes;
-    info_.back().epsilon_budget_used = sq_stats.epsilon_budget_used;
+    SDDMatrix squared = square(current);
+    info_.back().edges_after_square = squared.graph_part().num_edges();
 
     // Section 4: bring the level back toward its original size whenever it
-    // exceeds the threshold of applicability m' = kEdgeFactor * n. Streamed
-    // levels come out of the tower already sparsified at this level's budget.
+    // exceeds the threshold of applicability m' = kEdgeFactor * n.
     const auto threshold = static_cast<std::size_t>(
         kEdgeFactor * static_cast<double>(squared.dimension()));
-    if (!use_streamed && squared.graph_part().num_edges() > threshold) {
+    if (squared.graph_part().num_edges() > threshold) {
       sparsify::SparsifyOptions spopt;
       spopt.epsilon = options.level_epsilon;
       spopt.rho = options.rho;

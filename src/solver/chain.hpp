@@ -18,11 +18,8 @@
 // read), and the first level that does not lower that price is dropped.
 //
 // The squaring step is where fill-in explodes (A D^{-1} A connects every
-// 2-hop pair). One rule picks how each level absorbs it, from the level's
-// symbolic fill projection and before any product memory is committed: up to
-// ChainOptions::streamed_fill_threshold the exact product is materialized and
-// then sparsified; past it the sparsifier is fused into the SpGEMM, so the
-// product streams through a bounded-memory tower and is never resident.
+// 2-hop pair): each level's exact square is materialized (square()) and then
+// sparsified, so a build's peak memory grows with its largest square.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +31,7 @@
 
 namespace spar::solver {
 
-/// Knobs of the chain build: per-level sparsifier, depth cap, and when and
-/// how a level's square streams.
+/// Knobs of the chain build: per-level sparsifier and depth cap.
 struct ChainOptions {
   /// Per-level sparsifier accuracy. The theory needs eps = 1/O(log kappa);
   /// wrapped in PCG a constant works and is what we default to.
@@ -48,37 +44,16 @@ struct ChainOptions {
   /// it; the cap only bounds the build.
   std::size_t max_levels = 24;
   std::uint64_t seed = 99;  ///< seeds the per-level sparsifier coins
-  /// A level whose projected_square_fill exceeds this many product entries
-  /// squares through the streamed tower (square_streamed()); the others
-  /// materialize the exact product (square()), the parity reference. The
-  /// default keeps small instances (and the existing tests) on the dense
-  /// path; 0 streams every level and SIZE_MAX none.
-  std::size_t streamed_fill_threshold = std::size_t{1} << 22;
-  /// Streamed squaring: tower batch granularity in edges.
-  std::size_t stream_batch_edges = std::size_t{1} << 17;
-  /// Streamed squaring: tower resident-level cap (peak memory knob).
-  std::size_t stream_max_resident_levels = 3;
-  /// Streamed squaring: target symbolic fill per SpGEMM row-block.
-  std::size_t stream_block_fill_edges = std::size_t{1} << 20;
 };
 
-/// Per-level bookkeeping recorded while the chain is built. The squaring
-/// fields describe the step that produced the NEXT level from this one; on
-/// the final level, the square whose level the build rejected (probe verdict
-/// or an isolated vertex), or zero/false if it stopped without squaring.
+/// Per-level bookkeeping recorded while the chain is built.
+/// edges_after_square describes the square of this level, which made the
+/// NEXT level; on the final level, the square whose level the build rejected
+/// (probe verdict or an isolated vertex), or 0 if it stopped without squaring.
 struct ChainLevelInfo {
-  std::size_t edges_after_square = 0;  ///< 0 for the input level
+  std::size_t edges_after_square = 0;  ///< graph-part edges of this level's square
   std::size_t edges = 0;               ///< stored (possibly sparsified) edges
   double gamma = 0.0;                  ///< adjacency dominance at this level
-  /// Symbolic fill bound of this level's square: what the dense/streamed
-  /// choice was made on (the streamed path also plans with it).
-  std::size_t projected_fill = 0;
-  bool streamed_square = false;  ///< next level built by square_streamed()
-  /// Peak resident edges of the squaring step (tower + block + batch when
-  /// streamed; the materialized product's nnz when dense).
-  std::size_t peak_resident_edges = 0;
-  std::size_t sparsify_passes = 0;   ///< streamed-tower reduce passes
-  double epsilon_budget_used = 0.0;  ///< composed tower eps (streamed only)
   std::size_t probe_iterations = 0;  ///< depth probe's PCG iterations, this level as tail
   double probe_work = 0.0;  ///< probe_iterations x entries one iteration reads
 };

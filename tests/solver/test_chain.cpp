@@ -196,6 +196,24 @@ TEST(InverseChain, DepthProbeIsThreadInvariant) {
   }
 }
 
+TEST(InverseChain, DeterministicAcrossThreadCounts) {
+  // The build composes only deterministic parallel primitives (Gustavson
+  // SpGEMM, the sparsifier's round pipeline, the probe's chunk-ordered
+  // reductions), so the whole chain -- every level's graph and slack, and
+  // therefore every apply() -- is bit-identical for any thread count,
+  // ThreadLimit(1) included. The golden value pins the x86-64 gcc Release
+  // build; re-record via BUILDING.md ("Re-baselining") after deliberate
+  // algorithm changes.
+  const SDDMatrix m = grounded_grid(20);
+  ChainOptions opt;
+  opt.max_levels = 8;
+  constexpr std::uint64_t kGoldenHash = 0x30f16edff0e44f28ULL;
+  for (const int threads : {1, 2, 4}) {
+    support::par::ThreadLimit limit(threads);
+    EXPECT_EQ(chain_fingerprint(InverseChain(m, opt)), kGoldenHash) << threads << " threads";
+  }
+}
+
 TEST(InverseChain, DepthStopsAtTheProbedCostMinimum) {
   // Every kept level lowered the probe's work per solve; the next one did not.
   const InverseChain grid(weighted_grid40(), fiedler_chain());
@@ -224,7 +242,6 @@ TEST(InverseChain, FinalLevelRecordsOnlyTheRejectedSquare) {
   ASSERT_EQ(capped.num_levels(), 1u);
   EXPECT_GT(capped.level_info().front().probe_iterations, 0u);
   EXPECT_EQ(capped.level_info().front().edges_after_square, 0u);
-  EXPECT_EQ(capped.level_info().front().projected_fill, 0u);
   // gamma ended it: Jacobi alone finishes, nothing squared.
   const InverseChain easy(SDDMatrix(graph::cycle_graph(20), Vector(20, 100.0)),
                           ChainOptions{});

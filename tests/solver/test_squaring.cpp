@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 
 #include "graph/generators.hpp"
 #include "linalg/dense.hpp"
-#include "sparsify/spectral_cert.hpp"
 #include "support/rng.hpp"
 
 namespace spar::solver {
@@ -76,10 +74,10 @@ TEST(Square, SlackStaysNonnegative) {
 TEST(Square, DensifiesSparseGraphs) {
   // Distance-2 neighbors become adjacent: grids gain edges.
   const Graph g = graph::grid2d(8, 8);
-  SquaringStats stats;
-  square(SDDMatrix(g), &stats);
-  EXPECT_EQ(stats.input_edges, g.num_edges());
-  EXPECT_GT(stats.output_edges, g.num_edges());
+  const SDDMatrix m(g);
+  const SDDMatrix sq = square(m);
+  EXPECT_EQ(m.graph_part().num_edges(), g.num_edges());
+  EXPECT_GT(sq.graph_part().num_edges(), g.num_edges());
 }
 
 TEST(Square, PreservesDiagonal) {
@@ -111,94 +109,17 @@ TEST(Square, FoldsUnderflowedOffdiagIntoDiagonal) {
   Vector slack(3, 0.0);
   slack[1] = 1e160;
   const SDDMatrix m(g, slack);
-  SquaringStats stats;
   SDDMatrix sq;
-  ASSERT_NO_THROW(sq = square(m, &stats));
+  ASSERT_NO_THROW(sq = square(m));
   // The underflowed (0, 2) entry folded away: no edge survives, and none with
   // a non-positive weight was ever attempted.
   EXPECT_EQ(sq.graph_part().num_edges(), 0u);
-  EXPECT_EQ(stats.output_edges, 0u);
   // Slack stays nonnegative and finite; the grounded vertex keeps its slack.
   for (double s : sq.slack()) {
     EXPECT_TRUE(std::isfinite(s));
     EXPECT_GE(s, 0.0);
   }
   EXPECT_FALSE(sq.is_singular());
-}
-
-TEST(Square, StreamedMatchesDenseSlackAndCertifiesGraph) {
-  // square_streamed must reproduce square()'s slack to roundoff (the slack is
-  // accumulated from the exact product, pre-sparsification) while its graph
-  // part certifies as a (1 +- eps) approximation of the exact square's graph.
-  const Graph g =
-      graph::randomize_weights(graph::connected_erdos_renyi(80, 0.25, 11), 1.0, 3);
-  Vector slack(g.num_vertices(), 0.0);
-  support::Rng rng(13);
-  for (double& s : slack) s = rng.uniform();
-  const SDDMatrix m(g, slack);
-
-  SquaringStats dense_stats, stream_stats;
-  const SDDMatrix dense = square(m, &dense_stats);
-  // Gentle per-pass compression (rho = 2, wide bundles): the tower's
-  // empirical error must land inside the modest eps = 0.5 budget even though
-  // the product is near-complete and goes through several reduce passes.
-  StreamedSquareOptions opt;
-  opt.epsilon = 0.5;
-  opt.rho = 2.0;
-  opt.t = 4;
-  opt.seed = 41;
-  opt.batch_edges = 512;
-  opt.block_fill_edges = 2048;
-  const SDDMatrix streamed = square_streamed(m, opt, &stream_stats);
-
-  ASSERT_EQ(streamed.dimension(), dense.dimension());
-  for (std::size_t i = 0; i < dense.dimension(); ++i)
-    EXPECT_NEAR(streamed.slack()[i], dense.slack()[i],
-                1e-9 * std::max(1.0, m.diagonal()[i]))
-        << i;
-
-  const sparsify::ApproxBounds bounds =
-      sparsify::exact_relative_bounds(dense.graph_part(), streamed.graph_part());
-  ASSERT_TRUE(bounds.defined);
-  EXPECT_GT(bounds.lower, 1.0 - opt.epsilon);
-  EXPECT_LT(bounds.upper, 1.0 + opt.epsilon);
-
-  // Stats coherence: the emitted product matches the dense path's edge count
-  // exactly (same entries, same split rule), and the tower accounting is on.
-  EXPECT_EQ(stream_stats.product_edges, dense_stats.output_edges);
-  EXPECT_EQ(stream_stats.input_edges, g.num_edges());
-  EXPECT_EQ(stream_stats.output_edges, streamed.graph_part().num_edges());
-  EXPECT_GE(stream_stats.projected_fill, 2 * stream_stats.product_edges);
-  EXPECT_GE(stream_stats.row_blocks, 1u);
-  EXPECT_GE(stream_stats.batches, 1u);
-  EXPECT_LE(stream_stats.depth_used, stream_stats.depth_planned);
-  EXPECT_LE(stream_stats.epsilon_budget_used, opt.epsilon + 1e-12);
-}
-
-TEST(Square, StreamedLaplacianStaysSingular) {
-  // The fused path preserves the slack-exactness invariant: a singular
-  // Laplacian squares to a singular matrix even though the graph part went
-  // through the sparsifier tower.
-  const Graph g = graph::connected_erdos_renyi(60, 0.2, 9);
-  StreamedSquareOptions opt;
-  opt.batch_edges = 128;
-  opt.block_fill_edges = 512;
-  const SDDMatrix sq = square_streamed(SDDMatrix(g), opt);
-  EXPECT_TRUE(sq.is_singular());
-}
-
-TEST(ProjectedSquareFill, BoundsActualProductSize) {
-  // The symbolic bound dominates the real fill (it counts pre-merge
-  // expansion terms) and is cheap enough to act as the chain's guard.
-  const Graph g = graph::connected_erdos_renyi(70, 0.15, 5);
-  const SDDMatrix m(g);
-  const std::size_t projected = projected_square_fill(m);
-  SquaringStats stats;
-  square(m, &stats);
-  // Off-diagonal product entries appear twice in the symmetric product plus
-  // diagonal terms; the pre-merge bound dominates all of it.
-  EXPECT_GE(projected, 2 * stats.output_edges);
-  EXPECT_GT(projected, 0u);
 }
 
 TEST(AdjacencyDominance, LaplacianIsOne) {
